@@ -2,31 +2,31 @@
 
 Minimizing the sup of chordal distances from a unit vector to a point
 cloud on the sphere is equivalent (chordal identity |x-p|^2 = 2 - 2<x,p>)
-to maximizing f(x) = min_i <x, p_i>. The solver runs projected
-supergradient ascent from 16 deterministic starts, keeps the best
-iterate ever seen, then polishes it to a genuine local maximizer with
-rotating-frame golden-section steps plus exact active-set candidates.
-An exhaustive icosphere scan with one chart refinement serves as the
-independent oracle.
+to maximizing f(x) = min_i <x, p_i>. When the cloud lies in an open
+hemisphere, minimax duality gives max f = min_{q in conv P} |q|, attained
+at e = q*/|q*|, and one NNLS solve of the least-distance problem finds q*
+exactly (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23;
+Wolfe's 1976 nearest-point algorithm is the same method seen from the
+dual side). An exhaustive icosphere scan with one chart refinement serves
+as the independent oracle.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from .errors import InvalidInputError, OffManifoldError
-from .geometry import SurfacePoint, tangent_frame
+from .geometry import SurfacePoint, skew
 from .golden import golden_max
 
-ASCENT_ITERATIONS = 500
-ASCENT_STALL_WINDOW = 50
-ASCENT_STALL_TOL = 1e-10
-POLISH_ROUNDS = 10
-ICOSAHEDRON_EDGE_ARC = math.atan(2.0)  # ~63.435 deg between adjacent vertices
+LDP_RHS = np.array([0.0, 0.0, 0.0, 1.0])  # f of the least-distance NNLS system
+CERTIFICATE_GAP = 1e-12                   # duality gap below which `converged` holds
+ICOSAHEDRON_EDGE_ARC = math.atan(2.0)     # ~63.435 deg between adjacent vertices
+ORACLE_BLOCK = 256                        # icosphere vertices per block of the oracle scan
 
 
 @dataclass(frozen=True)
@@ -107,139 +107,49 @@ def icosphere(level: int) -> np.ndarray:
     return V
 
 
-def _starts(P: np.ndarray) -> np.ndarray:
-    mean = P.sum(axis=0)
-    n = np.linalg.norm(mean)
-    mean = mean / n if n > 1e-12 else P[0]
-    return np.vstack([mean, icosahedron_vertices(), np.eye(3)])  # 1 + 12 + 3
-
-
-def _ascent(P: np.ndarray, X0: np.ndarray, iterations: int):
-    """Projected supergradient ascent with step 0.5/sqrt(k), run on all
-    starts simultaneously; the active point with the smallest index is
-    the supergradient. Returns the best iterate seen across every chain
-    and whether that chain's final stall window improved."""
-    X = X0.copy()
-    dots = X @ P.T
-    best_f = dots.min(axis=1)
-    best_X = X.copy()
-    checkpoint = best_f.copy()
-    for k in range(1, iterations + 1):
-        idx = np.argmin(dots, axis=1)  # first minimum = smallest index
-        X = X + (0.5 / math.sqrt(k)) * P[idx]
-        X /= np.linalg.norm(X, axis=1)[:, None]
-        dots = X @ P.T
-        f = dots.min(axis=1)
-        improved = f > best_f
-        best_X[improved] = X[improved]
-        best_f[improved] = f[improved]
-        if k == iterations - ASCENT_STALL_WINDOW:
-            checkpoint = best_f.copy()
-    j = int(np.argmax(best_f))
-    converged = bool(best_f[j] - checkpoint[j] < ASCENT_STALL_TOL)
-    return best_X[j], float(best_f[j]), converged
-
-
-def _geodesic_step(x, d, angle):
-    return math.cos(angle) * x + math.sin(angle) * d
-
-
-def _polish(P: np.ndarray, x: np.ndarray, f: float):
-    """Drive the ascent output to a local maximizer: alternate golden
-    line searches along a tangent frame that rotates each round (so
-    nonsmooth ridges cannot stall the zigzag), then try exact candidates
-    built from the active set."""
-    width = 0.1
-    stalled = 0
-    for r in range(POLISH_ROUNDS):
-        u, v = tangent_frame(x)
-        rot = 0.5 * r
-        du = math.cos(rot) * u + math.sin(rot) * v
-        dv = -math.sin(rot) * u + math.cos(rot) * v
-        moved = 0.0
-        for d in (du, dv):
-            a, fa = golden_max(lambda ang: _objective(P, _geodesic_step(x, d, ang)),
-                               -width, width, tol=1e-11, maxiter=52)
-            if fa > f:
-                cand = _geodesic_step(x, d, a)
-                cand /= np.linalg.norm(cand)
-                f_cand = _objective(P, cand)
-                if f_cand > f:
-                    x, f = cand, f_cand
-                    moved = max(moved, abs(a))
-        if moved >= 0.9 * width:
-            width = min(2.0 * width, 1.5)
-        else:
-            width = max(4.0 * moved, 0.3 * width, 1e-9)
-        stalled = stalled + 1 if (moved == 0.0 and width <= 1e-8) else 0
-        if stalled >= 2:
-            break
-    xc, fc = _active_set_candidates(P, x)
-    if fc > f:
-        return xc, fc
-    return x, f
-
-
-def _active_set_candidates(P: np.ndarray, x: np.ndarray):
-    """Exact stationary candidates: maximin optima generically equalize
-    two or three active points, which pins the center to a bisector
-    circle (searched by golden section) or to a single intersection."""
-    dots = P @ x
-    order = np.argsort(dots, kind="stable")[:5]
-    best_x, best_f = x, _objective(P, x)
-    for i, j in combinations(order, 2):
-        w = P[i] - P[j]
-        nw = np.linalg.norm(w)
-        if nw < 1e-12:
-            continue
-        n = w / nw
-        c0 = x - np.dot(x, n) * n
-        nc = np.linalg.norm(c0)
-        if nc < 1e-12:
-            continue
-        c0 /= nc
-        c1 = np.cross(n, c0)
-        a, fa = golden_max(lambda ang: _objective(P, math.cos(ang) * c0 + math.sin(ang) * c1),
-                           -0.5, 0.5, tol=1e-14, maxiter=80)
-        if fa > best_f:
-            cand = math.cos(a) * c0 + math.sin(a) * c1
-            best_x, best_f = cand / np.linalg.norm(cand), fa
-    for i, j, k in combinations(order, 3):
-        d = np.cross(P[i] - P[j], P[i] - P[k])
-        nd = np.linalg.norm(d)
-        if nd < 1e-12:
-            continue
-        for cand in (d / nd, -d / nd):
-            fc = _objective(P, cand)
-            if fc > best_f:
-                best_x, best_f = cand, fc
-    return best_x, best_f
-
-
-def chebyshev_center(points, iterations: int = ASCENT_ITERATIONS,
-                     polish: bool = True) -> CapCenter:
+def chebyshev_center(points) -> CapCenter:
     """Cap center of a cloud of unit vectors.
 
-    Starts: normalized mean of the cloud, the 12 icosahedron vertices
-    and the 3 coordinate axes (16 in total). When the best objective is
-    not positive no open hemisphere contains the cloud; the maximin
-    point is still returned, with a warning, so downstream hypothesis
-    checks can report the failure instead of erroring.
+    Solves the least-distance problem min |x| s.t. <p_i, x> >= 1 with
+    one NNLS call: u = argmin_{u >= 0} |E u - f| for E = [P^T; 1^T] and
+    f = (0, 0, 0, 1), residual r = E u - f. When r[3] < 0 the cloud lies
+    in an open hemisphere and e = normalize(-r[:3] / r[3]); the returned
+    objective min_i <e, p_i> > 0 witnesses it.
+
+    `converged` is a certificate: the weak-duality gap
+    |P^T u / sum(u)| - min_i <e, p_i> is at most 1e-12. The gap bounds
+    how far the returned objective can be below the optimum on every
+    cloud. `iterations` is the number of points with positive NNLS
+    weight (the support of the nearest point of the hull), always >= 1.
+
+    When no open hemisphere contains the cloud, the center is the least
+    right-singular vector of P, signed for the larger objective (+ on
+    ties), with a warning, so downstream hypothesis checks can report the
+    failure instead of erroring. That center is exact (objective 0) for
+    clouds on a great circle.
     """
     P = _cloud_array(points)
-    best_x, best_f, converged = _ascent(P, _starts(P), iterations)
-    if polish:
-        best_x, best_f = _polish(P, best_x, best_f)
-    best_f = _objective(P, best_x)  # exact objective at the returned center
+    E = np.vstack([P.T, np.ones(len(P))])
+    u, _ = nnls(E, LDP_RHS)
+    r = E @ u - LDP_RHS
+    norm = float(np.linalg.norm(r[:3]))  # r[:3] = P^T u
+    e, f = None, -math.inf
+    if r[3] < 0.0 and norm > 0.0:
+        e = r[:3] / norm  # = normalize(-r[:3] / r[3])
+        f = _objective(P, e)
     warning = None
-    if best_f <= 0.0:
+    if not f > 0.0:
         warning = "cloud is not contained in an open hemisphere; minimizer may be non-unique"
+        v = np.linalg.eigh(P.T @ P)[1][:, 0]
+        e = v if _objective(P, v) >= _objective(P, -v) else -v
+        f = _objective(P, e)
+    gap = norm / float(u.sum()) - f
     return CapCenter(
-        e=SurfacePoint(best_x),
-        minimax_chordal_radius=math.sqrt(max(0.0, 2.0 - 2.0 * best_f)),
-        min_inner_product=best_f,
-        iterations=iterations * len(_starts(P)),
-        converged=converged,
+        e=SurfacePoint(e),
+        minimax_chordal_radius=math.sqrt(max(0.0, 2.0 - 2.0 * f)),
+        min_inner_product=f,
+        iterations=int(np.count_nonzero(u > 0.0)),
+        converged=bool(gap <= CERTIFICATE_GAP),
         warning=warning,
     )
 
@@ -247,10 +157,13 @@ def chebyshev_center(points, iterations: int = ASCENT_ITERATIONS,
 def chebyshev_grid_oracle(points, subdivisions: int = 5) -> CapCenter:
     """Exhaustive maximin over an icosphere grid, then one golden refine
     per spherical-chart coordinate around the best vertex. Test oracle:
-    slower and cruder than the solver, but with guaranteed coverage."""
+    slower and cruder than the solver, but with guaranteed coverage. The
+    vertex scan runs in blocks of ORACLE_BLOCK vertices, so memory stays
+    small on dense clouds."""
     P = _cloud_array(points)
     V = icosphere(subdivisions)
-    f_all = (V @ P.T).min(axis=1)
+    f_all = np.concatenate([(V[i:i + ORACLE_BLOCK] @ P.T).min(axis=1)
+                            for i in range(0, len(V), ORACLE_BLOCK)])
     b = V[int(np.argmax(f_all))]
 
     # chart centered at b, rotated to the equator so both coordinates are
@@ -294,8 +207,6 @@ def _rotation_to_ex(b: np.ndarray) -> np.ndarray:
         return np.diag([-1.0, -1.0, 1.0])
     axis = np.cross(b, ex)
     axis /= np.linalg.norm(axis)
-    K = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
+    K = skew(axis)
     s = math.sqrt(max(0.0, 1.0 - c * c))
     return np.eye(3) + s * K + (1.0 - c) * (K @ K)

@@ -26,7 +26,7 @@ from .errors import (
     NumericFailureError,
     OutOfDomainError,
 )
-from .geometry import Manifold, as_vector
+from .geometry import Manifold, as_vector, skew
 from .golden import golden_max_batch
 
 TWO_PI = 2.0 * math.pi
@@ -377,7 +377,7 @@ class SphericalCompound(Curve):
             th = np.atleast_1d(fr.phase.value(ts))
             d1.append(np.atleast_1d(fr.phase.d1(ts)))
             d2.append(np.atleast_1d(fr.phase.d2(ts)))
-            Km = _skew3(fr.axis)
+            Km = skew(fr.axis)
             K.append(Km)
             sin, cos = np.sin(th), np.cos(th)
             R.append(eye + sin[:, None, None] * Km
@@ -430,14 +430,6 @@ class SphericalCompound(Curve):
                 continue
             periods.append(fr.phase.mod2pi_period())
         return combine_periods(periods)
-
-
-def _skew3(k):
-    return np.array([
-        [0.0, -k[2], k[1]],
-        [k[2], 0.0, -k[0]],
-        [-k[1], k[0], 0.0],
-    ])
 
 
 @dataclass(frozen=True)

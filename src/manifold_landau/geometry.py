@@ -180,17 +180,6 @@ def tangent_frame(x: np.ndarray):
     return u, v
 
 
-def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
-    k = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(k)
-    if n == 0:
-        raise InvalidInputError("rotation axis must be nonzero")
-    k = k / n
-    K = skew(k)
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-
-
 def skew(k: np.ndarray) -> np.ndarray:
     """Cross-product matrix of k."""
     return np.array([

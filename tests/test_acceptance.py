@@ -120,13 +120,15 @@ def test_criterion_5_counterexample():
 
 
 def test_criterion_6_chebyshev_solver():
-    with criterion(6, "cap solver >= icosphere(5) oracle - 1e-6 on 200 clouds; pole recovery"):
+    with criterion(6, "cap solver certified, >= icosphere(5) oracle - 1e-6 on 200 clouds; "
+                      "pole recovery"):
         rng = np.random.default_rng(6006)
         for _ in range(200):
             pts, _ = hemisphere_cloud(rng)
             sol = chebyshev_center(pts)
             ora = chebyshev_grid_oracle(pts, 5)
             assert sol.min_inner_product >= ora.min_inner_product - 1e-6
+            assert sol.converged
         ts = np.linspace(0.0, 2 * math.pi, 65)[:-1]
         cloud = Latitude(math.pi / 4, LinearPhase(1.0)).batch(ts)[0]
         cap = chebyshev_center(cloud)

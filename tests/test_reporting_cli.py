@@ -179,9 +179,16 @@ class TestCliOutputs:
         assert abs(accel.max() - 1.0) <= 1e-9
 
     def test_counterexample_json(self, capsys):
-        assert main(["counterexample", "--T", "10", "--samples", "512", "--json"]) == 0
-        doc = parse_document(capsys.readouterr().out)
-        assert doc["report"]["hypotheses_ok"] is False
+        # the great-circle cloud lies in no open hemisphere: the cap keeps its
+        # warning and an exact center with objective 0, so lambda == 0 and the
+        # infinite rhs serializes as null
+        for T, samples in (("10", "512"), ("50", "40001")):
+            assert main(["counterexample", "--T", T, "--samples", samples, "--json"]) == 0
+            rep = parse_document(capsys.readouterr().out)["report"]
+            assert rep["hypotheses_ok"] is False
+            assert rep["cap"]["warning"] is not None
+            assert rep["lambda"]["value"] == 0.0
+            assert rep["rhs"] is None
 
     def test_probe_json(self, capsys):
         assert main(["probe", "--family", "latitude", "--budget", "3", "--json"]) == 0
