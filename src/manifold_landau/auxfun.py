@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TimeWindow, scan_extremum
+from .curves import JetTable, Quantity, SupEstimate, TimeWindow, curve_jets, scan_extremum
 from .errors import InvalidInputError, NumericFailureError, SingularityError
 from .geometry import Manifold, SurfacePoint, TangentVector, as_vector, project_tangent, tangent_frame
 from .golden import golden_max
@@ -251,7 +251,20 @@ def hessian_quadratic_fd(U: AuxFunction, x: np.ndarray, y: np.ndarray,
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def lambda_min(U: AuxFunction, curve, window: TimeWindow) -> LambdaEstimate:
+def closed_form_lambda(U: AuxFunction, curve, est: SupEstimate) -> LambdaEstimate:
+    """LambdaEstimate from a min scan of the "aux_unit_hessian_min" quantity;
+    the form is direction-independent, so any unit tangent attains it."""
+    x = curve.evaluate(est.argmax_t).x
+    if U.manifold.is_sphere:
+        direction = project_tangent(SurfacePoint(x), tangent_frame(x)[0])
+    else:
+        direction = np.eye(U.manifold.dim)[0]
+    return LambdaEstimate(value=est.value, argmin_t=est.argmax_t,
+                          argmin_direction=direction, method="closed_form")
+
+
+def lambda_min(U: AuxFunction, curve, window: TimeWindow,
+               jets: JetTable | None = None) -> LambdaEstimate:
     """Worst (smallest) Hessian quadratic-form value on unit tangents
     along the curve.
 
@@ -261,31 +274,18 @@ def lambda_min(U: AuxFunction, curve, window: TimeWindow) -> LambdaEstimate:
     over the direction angle.
     """
     if U.closed_unit_min:
-        def values(ts, X, Xd, Xdd):
-            return U.unit_hessian_min_batch(X)
-
-        est = scan_extremum(curve, window, values, mode="min")
-        ev = curve.evaluate(est.argmax_t)
-        direction = _some_unit_direction(U, ev.x)
-        return LambdaEstimate(value=est.value, argmin_t=est.argmax_t,
-                              argmin_direction=direction, method="closed_form")
+        spec = Quantity("aux_unit_hessian_min", aux=U, mode="min")
+        est, = scan_extremum(curve, window, [spec], jets=jets)
+        return closed_form_lambda(U, curve, est)
 
     if not U.manifold.is_sphere:
         raise InvalidInputError("directional scan is only implemented on the sphere")
 
-    ts = window.grid()
-    X, _, _ = curve.batch(ts)
+    ts, X, _, _ = curve_jets(curve, window) if jets is None else jets
     angles = np.linspace(0.0, math.pi, DIRECTION_SCAN, endpoint=False)
-    best = (math.inf, 0.0, None)  # value, t, x
-    per_sample = np.empty(len(ts))
-    for i, x in enumerate(X):
-        u, v = tangent_frame(x)
-        vals = _directional_values(U, x, u, v, angles)
-        j = int(np.argmin(vals))
-        per_sample[i] = vals[j]
-        if vals[j] < best[0]:
-            best = (float(vals[j]), float(ts[i]), x)
-    _, t_star, x_star = best
+    per_sample = np.array([_directional_values(U, x, *tangent_frame(x), angles).min() for x in X])
+    i_star = int(np.argmin(per_sample))  # the first minimum: ties go to the smallest t
+    t_star, x_star = float(ts[i_star]), X[i_star]
     u, v = tangent_frame(x_star)
 
     def over_angle(angle):
@@ -331,12 +331,3 @@ def _direction_coords(U, x, y):
     if isinstance(y, TangentVector):
         return y.vec
     return as_vector(y)
-
-
-def _some_unit_direction(U, x):
-    if U.manifold.is_sphere:
-        u, _ = tangent_frame(x)
-        return project_tangent(SurfacePoint(x), u)
-    d = np.zeros(U.manifold.dim)
-    d[0] = 1.0
-    return d

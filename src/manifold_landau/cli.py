@@ -24,7 +24,7 @@ window is optional (periodic curves default to one period, otherwise
 function on the sphere. Unknown keys anywhere are rejected.
 
 The environment variable MANIFOLD_LANDAU_THREADS overrides the worker
-count used by grid scans (default: available cores).
+count that splits each window's curve evaluation (default: available cores).
 """
 
 import argparse
@@ -47,6 +47,7 @@ from .curves import (
     SinusoidalPhase,
     SphericalCompound,
     TimeWindow,
+    curve_jets,
     default_window,
     read_curve_csv,
     read_points_csv,
@@ -55,6 +56,7 @@ from .errors import HypothesisViolationError, ManifoldLandauError, SpecValidatio
 from .geometry import SurfacePoint
 from .inequality import (
     classical_landau_check,
+    counterexample_curve,
     counterexample_report,
     landau_constant,
     manifold_bound_report,
@@ -202,10 +204,10 @@ def _window_from_spec(spec: dict, curve) -> TimeWindow:
                       samples)
 
 
-def _aux_from_spec(spec: dict, curve, window):
+def _aux_from_spec(spec: dict, curve, jets):
     """Resolve the aux block: an explicit center builds the function
     directly, center == "chebyshev" solves for the cap center of the
-    window samples first."""
+    window samples (the jet table's points) first."""
     aux = spec.get("aux", {"kind": "chordal", "center": "chebyshev"})
     if not isinstance(aux, dict):
         raise SpecValidationError("'aux' must be an object", key="aux")
@@ -229,13 +231,8 @@ def _aux_from_spec(spec: dict, curve, window):
                                   "euclidean_quadratic", key="aux.kind")
     if not curve.manifold.is_sphere:
         raise SpecValidationError(f"'{kind}' aux needs a sphere curve", key="aux.kind")
-    cap = None
-    if center == "chebyshev":
-        X, _, _ = curve.batch(window.grid())
-        cap = chebyshev_center(X)
-        e = cap.e
-    else:
-        e = SurfacePoint(_vector3(center, "aux.center"))
+    cap = chebyshev_center(jets.X) if center == "chebyshev" else None
+    e = cap.e if cap is not None else SurfacePoint(_vector3(center, "aux.center"))
     cls = ChordalHalfSquare if kind == "chordal" else IntrinsicHalfSquare
     return cls(e), cap
 
@@ -328,19 +325,27 @@ def _cmd_constant(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    spec = _load_spec(args.spec)
+def _bound_report(spec: dict):
+    """Curve, window, jets, aux function and bound report of a spec, from
+    one evaluation of the curve on the window grid."""
     curve = _curve_from_spec(spec)
     window = _window_from_spec(spec, curve)
-    U, cap = _aux_from_spec(spec, curve, window)
+    jets = curve_jets(curve, window)
+    U, cap = _aux_from_spec(spec, curve, jets)
     if cap is not None and isinstance(U, ChordalHalfSquare):
-        rep = sphere_bound_report(curve, window, cap=cap)
+        rep = sphere_bound_report(curve, window, cap=cap, jets=jets)
     else:
-        rep = manifold_bound_report(curve, U, window)
+        rep = manifold_bound_report(curve, U, window, jets=jets)
+    return curve, window, jets, U, rep
+
+
+def _cmd_check(args) -> int:
+    spec = _load_spec(args.spec)
+    curve, window, jets, U, rep = _bound_report(spec)
     if args.json:
         print(emit_json(build_document("check", rep, seed=spec.get("seed"))))
     elif args.csv:
-        sys.stdout.write(curve_time_series(curve, window, aux=U))
+        sys.stdout.write(curve_time_series(curve, window, aux=U, jets=jets))
     else:
         _print_kv(_bound_report_text(rep))
         for note in rep.notes:
@@ -350,22 +355,16 @@ def _cmd_check(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     spec = _load_spec(args.spec)
-    curve = _curve_from_spec(spec)
-    window = _window_from_spec(spec, curve)
-    U, cap = _aux_from_spec(spec, curve, window)
-    if cap is not None and isinstance(U, ChordalHalfSquare):
-        rep = sphere_bound_report(curve, window, cap=cap)
-    else:
-        rep = manifold_bound_report(curve, U, window)
+    curve, window, jets, U, rep = _bound_report(spec)
     try:
-        diag = proof_diagnostics(curve, U, report=rep)
+        diag = proof_diagnostics(curve, U, report=rep, jets=jets)
     except HypothesisViolationError as exc:
         print(f"hypotheses violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESES
     if args.json:
         print(emit_json(build_document("diagnose", diag, seed=spec.get("seed"))))
     elif args.csv:
-        sys.stdout.write(curve_time_series(curve, window, aux=U))
+        sys.stdout.write(curve_time_series(curve, window, aux=U, jets=jets))
     else:
         _print_kv([
             ("v bound ok        ", str(diag.v_bound_ok)),
@@ -405,10 +404,8 @@ def _cmd_counterexample(args) -> int:
     if args.json:
         print(emit_json(build_document("counterexample", rep)))
     elif args.csv:
-        from .inequality import counterexample_curve
-        curve = counterexample_curve()
         U = ChordalHalfSquare(rep.cap.e)
-        sys.stdout.write(curve_time_series(curve, rep.window, aux=U))
+        sys.stdout.write(curve_time_series(counterexample_curve(), rep.window, aux=U))
     else:
         _print_kv(_bound_report_text(rep))
         for note in rep.notes:
@@ -441,11 +438,12 @@ def _cmd_classical(args) -> int:
         raise SpecValidationError("classical check needs family 'euclidean' with one component",
                                   key="family")
     window = _window_from_spec(spec, curve)
-    rep = classical_landau_check(curve, window)
+    jets = curve_jets(curve, window)
+    rep = classical_landau_check(curve, window, jets=jets)
     if args.json:
         print(emit_json(build_document("classical", rep, seed=spec.get("seed"))))
     elif args.csv:
-        sys.stdout.write(scalar_time_series(curve, window))
+        sys.stdout.write(scalar_time_series(curve, window, jets=jets))
     else:
         _print_kv([
             ("sup |f|  ", _fmt(rep.f_sup.value)),
@@ -542,10 +540,7 @@ def main(argv=None) -> int:
     except SpecValidationError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ManifoldLandauError as exc:
+    except (FileNotFoundError, ManifoldLandauError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except BrokenPipeError:

@@ -1,8 +1,8 @@
-"""Worker-count configuration and deterministic chunked reductions.
+"""Worker-count configuration and the chunked grid evaluation.
 
-Grid scans may be partitioned across a thread pool; the reduction is
-written so the result is bit-identical to a sequential scan (ties in an
-extremum are broken by smallest t).
+The one jet evaluation per window may be partitioned across a thread
+pool; every row of a batch depends only on its own time, so the
+concatenated result is bit-identical to a sequential evaluation.
 """
 
 import os
@@ -15,35 +15,18 @@ THREADS_ENV_VAR = "MANIFOLD_LANDAU_THREADS"
 
 def worker_count() -> int:
     """Number of scan workers: MANIFOLD_LANDAU_THREADS or available cores."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
     try:
-        n = int(raw)
-    except ValueError:
+        return max(1, int(os.environ[THREADS_ENV_VAR]))
+    except (KeyError, ValueError):
         return os.cpu_count() or 1
-    return max(1, n)
 
 
-def chunked_extremum(values_fn, ts: np.ndarray, mode: str = "max"):
-    """Evaluate values_fn over ts (possibly in parallel chunks) and locate
-    the extremum.
-
-    Returns (t_star, value_star, values) where values is the full array in
-    grid order. Ties are broken by smallest t regardless of chunking.
-    """
-    n = len(ts)
-    workers = min(worker_count(), max(1, n // 512))
+def chunked_batch(batch, ts: np.ndarray):
+    """Evaluate batch(ts) -> tuple of row arrays, possibly in parallel
+    chunks of ts, and return the tuple with every array in grid order."""
+    workers = min(worker_count(), max(1, len(ts) // 512))
     if workers <= 1:
-        values = np.asarray(values_fn(ts), dtype=float)
-    else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        chunks = [ts[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: np.asarray(values_fn(c), dtype=float), chunks))
-        values = np.concatenate(parts)
-    if mode == "max":
-        idx = int(np.argmax(values))  # argmax returns the first (smallest t)
-    else:
-        idx = int(np.argmin(values))
-    return float(ts[idx]), float(values[idx]), values
+        return batch(ts)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(batch, np.array_split(ts, workers)))
+    return tuple(np.concatenate(cols) for cols in zip(*parts))

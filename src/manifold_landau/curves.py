@@ -15,10 +15,11 @@ scan exactly one of them.
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import chunked_extremum
+from .config import chunked_batch
 from .errors import (
     IngestionError,
     InvalidCurveError,
@@ -209,7 +210,7 @@ class SupEstimate:
     value: float
     argmax_t: float
     grid_step: float
-    refined: bool
+    refine_gain: float  # relative gain of refinement over the grid extremum, >= 0
     samples: int
 
 
@@ -245,8 +246,7 @@ class Curve:
         raise NotImplementedError
 
     def evaluate(self, t: float) -> CurveEvaluation:
-        ts = np.array([float(t)])
-        X, Xd, Xdd = self.batch(ts)
+        X, Xd, Xdd = self.batch(np.array([float(t)]))
         return CurveEvaluation(float(t), X[0], Xd[0], Xdd[0])
 
     def period(self):
@@ -647,36 +647,63 @@ def read_points_csv(path):
 # ---------------------------------------------------------------------------
 # windowed extrema
 
-QUANTITIES = ("speed", "covariant_accel_norm", "aux_value", "aux_gradient_norm")
+# quantities of the curve's points through an auxiliary function: name -> its batch method
+AUX_QUANTITIES = {"aux_value": "value_batch", "aux_gradient_norm": "gradient_norm_batch",
+                  "aux_unit_hessian_min": "unit_hessian_min_batch"}
 
 
-def quantity_values(curve, ts, quantity, aux=None) -> np.ndarray:
-    """Evaluate a named or custom scalar quantity along the curve.
+class JetTable(NamedTuple):
+    """Times ts and the curve's (X, Xd, Xdd) rows at them. A function
+    taking jets= expects curve_jets(curve, window) of its own window."""
+
+    ts: np.ndarray
+    X: np.ndarray
+    Xd: np.ndarray
+    Xdd: np.ndarray
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """What scan_extremum looks for: the max or min of a named quantity
+    (or a callable f(ts, X, Xd, Xdd) -> values), golden-refined or not."""
+
+    quantity: object
+    aux: object = None
+    mode: str = "max"
+    refine: bool = True
+
+
+def curve_jets(curve, window: TimeWindow) -> JetTable:
+    """Evaluate the curve once on the window grid, split over the scan
+    workers. Windows reaching outside the curve's domain are rejected."""
+    dom = curve.domain()
+    if dom is not None:
+        lo, hi = dom
+        pad = SNAP_FRACTION * max(1.0, abs(hi - lo))
+        if window.t_min < lo - pad or window.t_max > hi + pad:
+            raise OutOfDomainError(
+                f"window [{window.t_min}, {window.t_max}] exceeds curve domain [{lo}, {hi}]")
+    ts = window.grid()
+    return JetTable(ts, *chunked_batch(curve.batch, ts))
+
+
+def quantity_values(manifold, quantity, jets: JetTable, aux=None) -> np.ndarray:
+    """Evaluate a named or custom scalar quantity on the rows of jets.
 
     Custom quantities are callables f(ts, X, Xd, Xdd) -> values operating
     on whole batches.
     """
-    X, Xd, Xdd = curve.batch(ts)
     if callable(quantity):
-        return np.asarray(quantity(ts, X, Xd, Xdd), dtype=float)
+        return np.asarray(quantity(*jets), dtype=float)
     if quantity == "speed":
-        return np.linalg.norm(Xd, axis=1)
+        return np.linalg.norm(jets.Xd, axis=1)
     if quantity == "covariant_accel_norm":
-        if curve.manifold.is_sphere:
-            radial = np.einsum("ni,ni->n", Xdd, X)
-            acc = Xdd - radial[:, None] * X
-        else:
-            acc = Xdd
-        return np.linalg.norm(acc, axis=1)
-    if quantity == "aux_value":
-        if aux is None:
-            raise InvalidInputError("aux_value quantity needs an auxiliary function")
-        return aux.value_batch(X)
-    if quantity == "aux_gradient_norm":
-        if aux is None:
-            raise InvalidInputError("aux_gradient_norm quantity needs an auxiliary function")
-        return aux.gradient_norm_batch(X)
-    raise InvalidInputError(f"unknown quantity {quantity!r}")
+        return np.linalg.norm(manifold.covariant_accel_array(jets.X, jets.Xdd), axis=1)
+    if quantity not in AUX_QUANTITIES:
+        raise InvalidInputError(f"unknown quantity {quantity!r}")
+    if aux is None:
+        raise InvalidInputError(f"{quantity} quantity needs an auxiliary function")
+    return getattr(aux, AUX_QUANTITIES[quantity])(jets.X)
 
 
 def _check_finite(values, ts):
@@ -686,51 +713,53 @@ def _check_finite(values, ts):
         raise NumericFailureError(f"non-finite quantity value at t = {t_bad!r}", t=t_bad)
 
 
-def scan_extremum(curve, window: TimeWindow, quantity, aux=None,
-                  mode: str = "max", refine: bool = True,
-                  refine_candidates: int = 3) -> SupEstimate:
-    """Grid extremum with golden-section refinement around the best
-    bracket(s). Works for max and min; ties go to the smallest t."""
-    dom = curve.domain()
-    if dom is not None:
-        lo, hi = dom
-        pad = SNAP_FRACTION * max(1.0, abs(hi - lo))
-        if window.t_min < lo - pad or window.t_max > hi + pad:
-            raise OutOfDomainError(
-                f"window [{window.t_min}, {window.t_max}] exceeds curve domain [{lo}, {hi}]")
-    sign = 1.0 if mode == "max" else -1.0
+def scan_extremum(curve, window: TimeWindow, specs, jets: JetTable | None = None) -> list:
+    """One SupEstimate per Quantity spec: the grid extremum (ties go to
+    the smallest t), then one golden-section search over the brackets of
+    every refined spec together, so each iteration evaluates the curve
+    once for all of them."""
+    jets = curve_jets(curve, window) if jets is None else jets
+    signs = [1.0 if spec.mode == "max" else -1.0 for spec in specs]
+    refined = [i for i, spec in enumerate(specs) if spec.refine]
+    k = 3  # golden brackets per refined spec, around its best grid points
 
-    def values_fn(ts):
-        vals = quantity_values(curve, ts, quantity, aux=aux)
-        _check_finite(vals, ts)
-        return sign * vals
+    def signed_values(i, rows):
+        vals = quantity_values(curve.manifold, specs[i].quantity, rows, aux=specs[i].aux)
+        _check_finite(vals, rows.ts)
+        return signs[i] * vals
 
-    ts = window.grid()
-    t_star, v_star, values = chunked_extremum(values_fn, ts, mode="max")
-    best_t, best_v = t_star, v_star
+    def fused(t):  # each point of t takes the value of its bracket's spec, k brackets per spec
+        rows = JetTable(t, *curve.batch(t))
+        owner = np.resize(np.repeat(np.arange(len(refined)), k), len(t))
+        return np.choose(owner, [signed_values(i, rows) for i in refined])
 
-    refined = True
-    if refine and len(ts) >= 3:
-        k = min(refine_candidates, len(ts))
-        top = np.argpartition(values, -k)[-k:]
-        lo_b = ts[np.maximum(top - 1, 0)]
-        hi_b = ts[np.minimum(top + 1, len(ts) - 1)]
+    grid = [signed_values(i, jets) for i in range(len(specs))]
+    xs = ys = np.empty(0)
+    if refined:
+        top = np.concatenate([np.argpartition(grid[i], -k)[-k:] for i in refined])
         # a bracket of 1e-5 steps pins a smooth extremum to ~1e-12 in value
-        tol = max(1e-13, window.step * 1e-5)
-        xs, ys = golden_max_batch(values_fn, lo_b, hi_b, tol=tol, maxiter=32)
-        j = int(np.argmax(ys))
-        if ys[j] > best_v:
-            best_t, best_v = float(xs[j]), float(ys[j])
-        moved = (best_v - v_star) / max(abs(v_star), 1e-12)
-        refined = moved < 1e-10
-
-    return SupEstimate(value=sign * best_v, argmax_t=best_t,
-                       grid_step=window.step, refined=refined,
-                       samples=window.samples)
+        xs, ys = golden_max_batch(fused, jets.ts[np.maximum(top - 1, 0)],
+                                  jets.ts[np.minimum(top + 1, len(jets.ts) - 1)],
+                                  tol=max(1e-13, window.step * 1e-5), maxiter=32)
+    golden = iter(zip(xs.reshape(-1, k), ys.reshape(-1, k)))
+    out = []
+    for spec, sign, values in zip(specs, signs, grid):
+        g = int(np.argmax(values))  # argmax returns the first (smallest t)
+        best_t, grid_v = float(jets.ts[g]), float(values[g])
+        best_v = grid_v
+        if spec.refine:
+            bx, by = next(golden)
+            m = int(np.argmax(by))
+            if by[m] > best_v:
+                best_t, best_v = float(bx[m]), float(by[m])
+        out.append(SupEstimate(value=sign * best_v, argmax_t=best_t,
+                               grid_step=window.step, samples=window.samples,
+                               refine_gain=(best_v - grid_v) / max(abs(grid_v), 1e-12)))
+    return out
 
 
 def sup_norm(curve, window: TimeWindow, quantity, aux=None,
              refine: bool = True) -> SupEstimate:
     """Windowed sup of a scalar quantity: grid max, then golden-section
     refinement around the 3 best grid points."""
-    return scan_extremum(curve, window, quantity, aux=aux, mode="max", refine=refine)
+    return scan_extremum(curve, window, [Quantity(quantity, aux, "max", refine)])[0]

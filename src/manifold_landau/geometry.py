@@ -104,10 +104,12 @@ class Manifold:
     # they defer to the module functions below; on R^d the covariant
     # derivative is the plain second derivative and geodesics are lines.
 
-    def covariant_accel_array(self, x, xdot, xddot) -> np.ndarray:
+    def covariant_accel_array(self, X, Xdd) -> np.ndarray:
+        """Covariant acceleration of jet rows (or one jet): on the sphere
+        the tangential projection of the ambient second derivative."""
         if self.is_sphere:
-            return xddot - np.dot(xddot, x) * x
-        return np.asarray(xddot, dtype=float)
+            return Xdd - np.einsum("...i,...i->...", Xdd, X)[..., None] * X
+        return np.asarray(Xdd, dtype=float)
 
     def geodesic_array(self, x0, y, t: float) -> np.ndarray:
         if self.is_sphere:

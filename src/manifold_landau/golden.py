@@ -58,21 +58,16 @@ def golden_max_batch(f_batch, lo: np.ndarray, hi: np.ndarray,
     (x_best, y_best) arrays, one entry per bracket, with endpoint values
     included in the running best.
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    swap = a > b
-    a[swap], b[swap] = b[swap], a[swap]
-
-    ya = np.asarray(f_batch(a), dtype=float)
-    yb = np.asarray(f_batch(b), dtype=float)
-    best_x = np.where(ya >= yb, a, b)
-    best_y = np.maximum(ya, yb)
+    a = np.minimum(lo, hi).astype(float)
+    b = np.maximum(lo, hi).astype(float)
 
     h = b - a
     c = a + INV_PHI2 * h
     d = a + INV_PHI * h
-    yc = np.asarray(f_batch(c), dtype=float)
-    yd = np.asarray(f_batch(d), dtype=float)
+    # the brackets' ends and first interior points in one call
+    ya, yb, yc, yd = np.split(np.asarray(f_batch(np.concatenate([a, b, c, d])), dtype=float), 4)
+    best_x = np.where(ya >= yb, a, b)
+    best_y = np.maximum(ya, yb)
     for _ in range(maxiter):
         take_c = yc > yd
         # shrink to [a, d] where c wins, to [c, b] where d wins

@@ -18,20 +18,24 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .auxfun import AuxFunction, ChordalHalfSquare, LambdaEstimate, lambda_min
+from .auxfun import AuxFunction, ChordalHalfSquare, LambdaEstimate, closed_form_lambda, lambda_min
 from .chebyshev import CapCenter, chebyshev_center
+from .config import chunked_batch
 from .curves import (
     GreatCircle,
+    JetTable,
     Latitude,
     LinearPhase,
     QuadraticPhase,
+    Quantity,
     RotatingFrame,
     SinusoidalPhase,
     SphericalCompound,
     SupEstimate,
     TimeWindow,
+    curve_jets,
     default_window,
-    sup_norm,
+    scan_extremum,
 )
 from .errors import HypothesisViolationError, InvalidInputError, NumericFailureError
 
@@ -124,21 +128,26 @@ def _slack(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def manifold_bound_report(curve, U: AuxFunction, window: TimeWindow | None = None) -> BoundReport:
+def manifold_bound_report(curve, U: AuxFunction, window: TimeWindow | None = None,
+                          jets: JetTable | None = None) -> BoundReport:
     """Evaluate the general bound for a curve and auxiliary function.
 
-    A vanishing r0 or nonpositive lambda is a hypothesis violation, not
+    Every sup (and a closed-form lambda) comes from one fused scan of the
+    window's jets. A vanishing r0 or nonpositive lambda is a hypothesis violation, not
     an exception: the report comes back with hypotheses_ok False.
     """
     if U.manifold.kind != curve.manifold.kind or U.manifold.dim != curve.manifold.dim:
         raise InvalidInputError("curve and auxiliary function live on different manifolds")
     window = window or default_window(curve)
-    speed = sup_norm(curve, window, "speed")
-    r2 = sup_norm(curve, window, "covariant_accel_norm")
-    r0 = sup_norm(curve, window, "aux_gradient_norm", aux=U)
-    # sup of U enters only through its finiteness, grid precision suffices
-    sup_u = sup_norm(curve, window, "aux_value", aux=U, refine=False).value
-    lam = lambda_min(U, curve, window)
+    jets = curve_jets(curve, window) if jets is None else jets
+    specs = [Quantity("speed"), Quantity("covariant_accel_norm"),
+             Quantity("aux_gradient_norm", aux=U),
+             # sup of U enters only through its finiteness, grid precision suffices
+             Quantity("aux_value", aux=U, refine=False)]
+    if U.closed_unit_min:
+        specs.append(Quantity("aux_unit_hessian_min", aux=U, mode="min"))
+    speed, r2, r0, sup_u, *lam = scan_extremum(curve, window, specs, jets=jets)
+    lam = closed_form_lambda(U, curve, lam[0]) if lam else lambda_min(U, curve, window, jets=jets)
 
     C = landau_constant().C
     lhs = speed.value ** 2
@@ -146,20 +155,21 @@ def manifold_bound_report(curve, U: AuxFunction, window: TimeWindow | None = Non
         rhs = math.inf
     else:
         rhs = C * C * r0.value * r2.value / lam.value
-    hypotheses_ok = bool(math.isfinite(sup_u) and 0.0 < r0.value and math.isfinite(r0.value)
+    hypotheses_ok = bool(math.isfinite(sup_u.value) and 0.0 < r0.value and math.isfinite(r0.value)
                          and lam.value > 0.0)
     satisfied = bool(lhs <= rhs * (1.0 + BOUND_TOL)) if math.isfinite(rhs) else True
     notes = ()
     if not hypotheses_ok:
         notes = ("hypotheses violated: the bound makes no claim on this curve",)
-    return BoundReport(r0=r0, r2=r2, lam=lam, speed=speed, sup_u=sup_u,
+    return BoundReport(r0=r0, r2=r2, lam=lam, speed=speed, sup_u=sup_u.value,
                        lhs=lhs, rhs=rhs, slack_ratio=_slack(lhs, rhs),
                        hypotheses_ok=hypotheses_ok, satisfied=satisfied,
                        window=window, notes=notes)
 
 
 def sphere_bound_report(curve, window: TimeWindow | None = None,
-                        cap: CapCenter | None = None) -> BoundReport:
+                        cap: CapCenter | None = None,
+                        jets: JetTable | None = None) -> BoundReport:
     """Sphere specialization: the auxiliary function is the chordal half
     square centered at the smallest-cap center of the window samples.
 
@@ -169,11 +179,11 @@ def sphere_bound_report(curve, window: TimeWindow | None = None,
     if not curve.manifold.is_sphere:
         raise InvalidInputError("sphere bound needs a sphere curve")
     window = window or default_window(curve)
+    jets = curve_jets(curve, window) if jets is None else jets
     if cap is None:
-        X, _, _ = curve.batch(window.grid())
-        cap = chebyshev_center(X)
+        cap = chebyshev_center(jets.X)
     U = ChordalHalfSquare(cap.e)
-    rep = manifold_bound_report(curve, U, window)
+    rep = manifold_bound_report(curve, U, window, jets=jets)
     C = landau_constant().C
     lv = rep.lam.value
     if lv == 0.0:
@@ -199,7 +209,8 @@ class ClassicalReport:
     notes: tuple = ()
 
 
-def classical_landau_check(curve, window: TimeWindow | None = None) -> ClassicalReport:
+def classical_landau_check(curve, window: TimeWindow | None = None,
+                           jets: JetTable | None = None) -> ClassicalReport:
     """Check the constant-2 scalar inequality on a window.
 
     The Banach-space-valued analogue holds with constant 4 instead of 2;
@@ -208,9 +219,9 @@ def classical_landau_check(curve, window: TimeWindow | None = None) -> Classical
     if curve.manifold.is_sphere or curve.manifold.dim != 1:
         raise InvalidInputError("classical check needs a scalar curve")
     window = window or default_window(curve)
-    f_sup = sup_norm(curve, window, lambda ts, X, Xd, Xdd: np.abs(X[:, 0]))
-    fp_sup = sup_norm(curve, window, "speed")
-    fpp_sup = sup_norm(curve, window, "covariant_accel_norm")
+    f_sup, fp_sup, fpp_sup = scan_extremum(
+        curve, window, [Quantity(lambda ts, X, Xd, Xdd: np.abs(X[:, 0])),
+                        Quantity("speed"), Quantity("covariant_accel_norm")], jets=jets)
     lhs = fp_sup.value ** 2
     rhs = 2.0 * f_sup.value * fpp_sup.value
     return ClassicalReport(
@@ -245,7 +256,8 @@ class ProofDiagnostics:
 
 
 def proof_diagnostics(curve, U: AuxFunction, window: TimeWindow | None = None,
-                      report: BoundReport | None = None) -> ProofDiagnostics:
+                      report: BoundReport | None = None,
+                      jets: JetTable | None = None) -> ProofDiagnostics:
     """Check, at every grid sample:
       * v^2 <= r0^3 r2 / lambda          (v = <grad U o x, x'>)
       * |d|x'|/dt| <= r2                 (central difference, |x'| > 1e-8)
@@ -253,13 +265,13 @@ def proof_diagnostics(curve, U: AuxFunction, window: TimeWindow | None = None,
                                           I(z) = z^3/3 - z0^2 z + 2 z0^3/3)
     Raises HypothesisViolationError when the bound's hypotheses fail.
     """
-    rep = report or manifold_bound_report(curve, U, window)
+    window = report.window if report else window or default_window(curve)
+    jets = curve_jets(curve, window) if jets is None else jets
+    rep = report or manifold_bound_report(curve, U, window, jets=jets)
     if not rep.hypotheses_ok:
         raise HypothesisViolationError(
             "bound hypotheses fail on this curve; diagnostics are undefined")
-    window = rep.window
-    ts = window.grid()
-    X, Xd, _ = curve.batch(ts)
+    ts, X, Xd, _ = jets
     grads = U.gradient_batch(X)
     v = np.einsum("ni,ni->n", grads, Xd)
     r0, r2, lam = rep.r0.value, rep.r2.value, rep.lam.value
@@ -272,14 +284,9 @@ def proof_diagnostics(curve, U: AuxFunction, window: TimeWindow | None = None,
     z = np.linalg.norm(Xd, axis=1)
     h = SPEED_FD_STEP
     dom = curve.domain()
-    if dom is None:
-        t_lo, t_hi = ts, ts
-    else:
-        t_lo = np.clip(ts, dom[0] + h, dom[1] - h)
-        t_hi = t_lo
-    _, Xd_p, _ = curve.batch(t_lo + h)
-    _, Xd_m, _ = curve.batch(t_hi - h)
-    dz = (np.linalg.norm(Xd_p, axis=1) - np.linalg.norm(Xd_m, axis=1)) / (2.0 * h)
+    tc = ts if dom is None else np.clip(ts, dom[0] + h, dom[1] - h)
+    z_p, z_m = (np.linalg.norm(chunked_batch(curve.batch, tc + s)[1], axis=1) for s in (h, -h))
+    dz = (z_p - z_m) / (2.0 * h)
     mask = z > 1e-8
     speed_excess = np.where(mask, np.abs(dz) - r2, -np.inf)
     i_s = int(np.argmax(speed_excess))

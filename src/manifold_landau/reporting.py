@@ -11,13 +11,14 @@ import io
 import json
 import math
 from dataclasses import fields, is_dataclass
+from functools import cache
 from importlib import resources
 
 import jsonschema
 import numpy as np
 
 from . import __version__
-from .curves import TimeWindow, quantity_values
+from .curves import JetTable, TimeWindow, curve_jets, quantity_values
 from .geometry import SurfacePoint, TangentVector
 
 # dataclass field names renamed on the wire
@@ -63,20 +64,18 @@ def build_document(command: str, report, seed=None, notes=()) -> dict:
     return doc
 
 
-_SCHEMA = None
-
-
-def report_schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        text = resources.files("manifold_landau").joinpath(
-            "schemas/report.schema.json").read_text(encoding="utf-8")
-        _SCHEMA = json.loads(text)
-    return _SCHEMA
+@cache
+def _validator():
+    # checking the schema itself is the costly part: do it once per process
+    schema = json.loads(resources.files("manifold_landau").joinpath(
+        "schemas/report.schema.json").read_text(encoding="utf-8"))
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_document(doc: dict) -> None:
-    jsonschema.validate(instance=doc, schema=report_schema())
+    _validator().validate(doc)
 
 
 def emit_json(doc: dict) -> str:
@@ -97,37 +96,36 @@ def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def curve_time_series(curve, window: TimeWindow, aux=None) -> str:
+def _columns_csv(header, cols) -> str:
+    return _csv_text(header, zip(*[map(repr, col.tolist()) for col in cols]))
+
+
+def curve_time_series(curve, window: TimeWindow, aux=None,
+                      jets: JetTable | None = None) -> str:
     """Time series for plotting: t, speed, covariant acceleration norm,
     and (when an auxiliary function is supplied) v = <grad U o x, x'>
     and U o x."""
-    ts = window.grid()
-    X, Xd, Xdd = curve.batch(ts)
-    speed = np.linalg.norm(Xd, axis=1)
-    accel = quantity_values(curve, ts, "covariant_accel_norm")
-    cols = [ts, speed, accel]
+    jets = curve_jets(curve, window) if jets is None else jets
+    ts, X, Xd, _ = jets
+    cols = [ts, np.linalg.norm(Xd, axis=1),
+            quantity_values(curve.manifold, "covariant_accel_norm", jets)]
     header = ["t", "speed", "covariant_accel_norm"]
     if aux is not None:
-        grads = aux.gradient_batch(X)
-        v = np.einsum("ni,ni->n", grads, Xd)
+        v = np.einsum("ni,ni->n", aux.gradient_batch(X), Xd)
         cols += [v, aux.value_batch(X)]
         header += ["v", "aux_value"]
-    rows = zip(*[[repr(float(x)) for x in col] for col in cols])
-    return _csv_text(header, rows)
+    return _columns_csv(header, cols)
 
 
-def scalar_time_series(curve, window: TimeWindow) -> str:
+def scalar_time_series(curve, window: TimeWindow, jets: JetTable | None = None) -> str:
     """Scalar-curve series: t, f, f', f''."""
-    ts = window.grid()
-    X, Xd, Xdd = curve.batch(ts)
-    rows = ((repr(float(t)), repr(float(x[0])), repr(float(d[0])), repr(float(dd[0])))
-            for t, x, d, dd in zip(ts, X, Xd, Xdd))
-    return _csv_text(["t", "f", "fprime", "fsecond"], rows)
+    jets = curve_jets(curve, window) if jets is None else jets
+    return _columns_csv(["t", "f", "fprime", "fsecond"],
+                        [jets.ts, jets.X[:, 0], jets.Xd[:, 0], jets.Xdd[:, 0]])
 
 
 def cap_point_table(points: np.ndarray, cap) -> str:
@@ -135,10 +133,8 @@ def cap_point_table(points: np.ndarray, cap) -> str:
     center and chordal distance."""
     dots = points @ cap.e.coords
     chord = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots))
-    rows = ((repr(float(p[0])), repr(float(p[1])), repr(float(p[2])),
-             repr(float(d)), repr(float(c)))
-            for p, d, c in zip(points, dots, chord))
-    return _csv_text(["x", "y", "z", "inner_product", "chordal_distance"], rows)
+    return _columns_csv(["x", "y", "z", "inner_product", "chordal_distance"],
+                        [*points.T, dots, chord])
 
 
 def probe_table(result) -> str:

@@ -214,11 +214,12 @@ class TestLambdaMin:
         # on a latitude circle at colatitude c the worst unit direction gives
         # c * cot(c): second derivative of arccos^2/2 along the transverse
         # geodesic, derivable by hand from U(g(t)) = arccos(cos c cos t)^2 / 2
-        c = math.pi / 4
-        est = lambda_min(IntrinsicHalfSquare(POLE), Latitude(c, LinearPhase(1.0)),
-                         TimeWindow(0.0, 2 * math.pi, 65))
-        assert est.method == "directional_scan"
-        assert abs(est.value - c / math.tan(c)) <= 1e-5
+        # (Hessian comparison on constant curvature: eigenvalues 1 and d cot d)
+        for c in (math.pi / 4, 0.3, 0.7, 1.2, 2.0):
+            est = lambda_min(IntrinsicHalfSquare(POLE), Latitude(c, LinearPhase(1.0)),
+                             TimeWindow(0.0, 2 * math.pi, 65))
+            assert est.method == "directional_scan"
+            assert abs(est.value - c / math.tan(c)) <= 1e-6, c
 
     def test_value_not_above_sampled_directions(self):
         U = IntrinsicHalfSquare(POLE)
@@ -240,12 +241,12 @@ class TestLambdaMin:
 
     def test_chordal_lambda_is_the_grid_scan_of_inner_products(self):
         # same code path as scanning <e, x(t)> directly
-        from manifold_landau.curves import SinusoidalPhase, scan_extremum
+        from manifold_landau.curves import Quantity, SinusoidalPhase, scan_extremum
         curve = Latitude(0.8, SinusoidalPhase(1.1, 2.0, drift=0.3))
         window = TimeWindow(0.0, 5.0, 257)
         est = lambda_min(ChordalHalfSquare(POLE), curve, window)
-        direct = scan_extremum(curve, window,
-                               lambda ts, X, Xd, Xdd: X @ POLE.coords, mode="min")
+        direct, = scan_extremum(
+            curve, window, [Quantity(lambda ts, X, Xd, Xdd: X @ POLE.coords, mode="min")])
         assert est.value == direct.value
         X, _, _ = curve.batch(window.grid())
         assert est.value <= float((X @ POLE.coords).min()) + 1e-15

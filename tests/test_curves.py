@@ -266,6 +266,19 @@ class TestSupNorm:
         refined = sup_norm(curve, w, "speed").value
         assert refined >= coarse
 
+    def test_refine_gain_measures_the_off_grid_improvement(self):
+        sine = EuclideanAnalytic(((SinusoidalPhase(1.0, 1.0),),))
+        window = TimeWindow(0.0, 3.0, 31)  # max at pi/2, between nodes 1.5 and 1.6
+        grid = sup_norm(sine, window, lambda ts, X, Xd, Xdd: X[:, 0], refine=False)
+        est = sup_norm(sine, window, lambda ts, X, Xd, Xdd: X[:, 0])
+        assert grid.refine_gain == 0.0
+        assert abs(est.value - 1.0) <= 1e-12 and est.value > grid.value
+        assert est.refine_gain > 0.0
+        assert est.refine_gain == (est.value - grid.value) / grid.value
+        # a maximum sitting exactly on a node gains nothing
+        peak = sup_norm(sine, TimeWindow(0.0, 2.0, 21), lambda ts, X, Xd, Xdd: -(ts - 1.0) ** 2)
+        assert peak.argmax_t == 1.0 and peak.value == 0.0 and peak.refine_gain == 0.0
+
     def test_argmax_tie_breaks_smallest_t(self):
         curve = unit_great_circle()
 

@@ -197,9 +197,9 @@ class TestTangentVector:
 class TestEuclideanBranch:
     def test_covariant_accel_is_second_derivative(self):
         man = Manifold.euclidean(2)
-        out = man.covariant_accel_array(np.array([1.0, 2.0]), np.array([0.0, 1.0]),
-                                        np.array([3.0, -1.0]))
-        np.testing.assert_allclose(out, [3.0, -1.0])
+        out = man.covariant_accel_array(np.array([[1.0, 2.0], [0.5, 0.0]]),
+                                        np.array([[3.0, -1.0], [0.0, 4.0]]))
+        np.testing.assert_array_equal(out, [[3.0, -1.0], [0.0, 4.0]])
 
     def test_geodesic_is_straight_line(self):
         man = Manifold.euclidean(2)

@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from manifold_landau.auxfun import ChordalHalfSquare, EuclideanQuadratic
+from manifold_landau.auxfun import ChordalHalfSquare, EuclideanQuadratic, lambda_min
 from manifold_landau.curves import (
     EuclideanAnalytic,
     GreatCircle,
     Latitude,
     LinearPhase,
     QuadraticPhase,
+    RotatingFrame,
     SinusoidalPhase,
+    SphericalCompound,
     TimeWindow,
     default_window,
+    load_sampled,
+    sup_norm,
 )
 from manifold_landau.errors import HypothesisViolationError, InvalidInputError
 from manifold_landau.geometry import SurfacePoint
@@ -245,3 +249,53 @@ class TestSoundnessMiniCorpus:
             assert rep.lhs <= rep.rhs * (1 + 1e-6), (family, rep.lhs, rep.rhs)
             diag = proof_diagnostics(curve, ChordalHalfSquare(rep.cap.e), report=rep)
             assert diag.v_bound_ok and diag.speed_lipschitz_ok and diag.chain_ok
+
+
+def aperiodic_compound():
+    return SphericalCompound(
+        (RotatingFrame([0.3, -0.5, 0.8], SinusoidalPhase(0.35, 0.8137)),
+         RotatingFrame([1.0, 0.2, 0.1], SinusoidalPhase(0.3, 1.3291)),
+         RotatingFrame([0.0, 1.0, 0.5], SinusoidalPhase(0.25, 1.7713))),
+        np.array([0.0, 0.0, 1.0]))
+
+
+class TestFusedScan:
+    """Each quantity of a fused report equals its own one-spec scan, bit for bit."""
+
+    def assert_matches_one_spec_scans(self, curve, U, rep):
+        window = rep.window
+        assert rep.speed == sup_norm(curve, window, "speed")
+        assert rep.r2 == sup_norm(curve, window, "covariant_accel_norm")
+        assert rep.r0 == sup_norm(curve, window, "aux_gradient_norm", aux=U)
+        assert rep.sup_u == sup_norm(curve, window, "aux_value", aux=U, refine=False).value
+        lam = lambda_min(U, curve, window)
+        assert (rep.lam.value, rep.lam.argmin_t) == (lam.value, lam.argmin_t)
+
+    @pytest.mark.parametrize("kind", ["compound", "latitude", "sampled"])
+    def test_sphere_report(self, kind):
+        if kind == "compound":
+            curve = aperiodic_compound()
+            assert curve.period() is None and default_window(curve).samples == 40001
+        elif kind == "latitude":
+            curve = Latitude(0.9, SinusoidalPhase(1.1, 2.0, drift=0.3))
+        else:
+            ts = np.linspace(0.0, 8.0, 1025)
+            X, _, _ = aperiodic_compound().batch(ts)
+            curve = load_sampled(np.column_stack([ts, X]))
+        rep = sphere_bound_report(curve)
+        self.assert_matches_one_spec_scans(curve, ChordalHalfSquare(rep.cap.e), rep)
+
+    def test_euclidean_report(self):
+        curve = EuclideanAnalytic(((SinusoidalPhase(1.0, 1.0),),
+                                   (SinusoidalPhase(0.5, 0.7071),)))
+        U = EuclideanQuadratic(np.array([0.1, -0.2]))
+        rep = manifold_bound_report(curve, U, TimeWindow(-10.0, 10.0, 4001))
+        self.assert_matches_one_spec_scans(curve, U, rep)
+
+    def test_classical_report(self):
+        curve = EuclideanAnalytic(((SinusoidalPhase(1.0, 1.0), SinusoidalPhase(0.3, 2.7)),))
+        window = TimeWindow(-10.0, 10.0, 4001)
+        rep = classical_landau_check(curve, window)
+        assert rep.f_sup == sup_norm(curve, window, lambda ts, X, Xd, Xdd: np.abs(X[:, 0]))
+        assert rep.fprime_sup == sup_norm(curve, window, "speed")
+        assert rep.fsecond_sup == sup_norm(curve, window, "covariant_accel_norm")

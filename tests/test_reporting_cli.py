@@ -3,12 +3,23 @@ import io
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
 from manifold_landau.cli import main
-from manifold_landau.config import THREADS_ENV_VAR, chunked_extremum, worker_count
-from manifold_landau.curves import Latitude, LinearPhase, TimeWindow
+from manifold_landau.config import THREADS_ENV_VAR, worker_count
+from manifold_landau.curves import (
+    Latitude,
+    LinearPhase,
+    QuadraticPhase,
+    RotatingFrame,
+    SinusoidalPhase,
+    SphericalCompound,
+    TimeWindow,
+    curve_jets,
+    sup_norm,
+)
 from manifold_landau.inequality import landau_constant, sphere_bound_report
 from manifold_landau.reporting import (
     build_document,
@@ -60,6 +71,15 @@ class TestDocuments:
         body = doc["report"]
         assert body["lambda"]["method"] == "closed_form"
         assert body["cap"]["converged"] in (True, False)
+
+    def test_invalid_documents_still_raise(self):
+        doc = build_document("constant", landau_constant())
+        missing = {k: v for k, v in doc.items() if k != "command"}
+        wrong_type = dict(doc, report=dict(doc["report"], C="1.879"))
+        for bad in (missing, wrong_type):
+            with pytest.raises(jsonschema.ValidationError):
+                validate_document(bad)
+        validate_document(doc)
 
     def test_nonfinite_serializes_as_null(self):
         from manifold_landau.inequality import counterexample_report
@@ -228,21 +248,66 @@ class TestWorkers:
         assert worker_count() >= 1
 
     def test_chunked_matches_sequential(self, monkeypatch):
-        ts = np.linspace(0.0, 10.0, 4096)
-
-        def values(x):
-            return np.sin(x) * np.exp(-0.01 * x)
-
+        curve = SphericalCompound(
+            (RotatingFrame([0.3, -0.5, 0.8], SinusoidalPhase(0.4, 1.3)),
+             RotatingFrame([1.0, 0.2, 0.1], SinusoidalPhase(0.3, 0.7, drift=0.2)),
+             RotatingFrame([0.0, 1.0, 0.5], QuadraticPhase(0.05, 0.4))),
+            np.array([0.0, 0.0, 1.0]))
+        window = TimeWindow(-5.0, 5.0, 4096)
         monkeypatch.setenv(THREADS_ENV_VAR, "1")
-        t1, v1, a1 = chunked_extremum(values, ts, mode="max")
+        one = curve_jets(curve, window)
         monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        t4, v4, a4 = chunked_extremum(values, ts, mode="max")
-        assert t1 == t4 and v1 == v4
-        np.testing.assert_array_equal(a1, a4)
+        four = curve_jets(curve, window)
+        for a, b in zip((one.ts, one.X, one.Xd, one.Xdd), (four.ts, four.X, four.Xd, four.Xdd)):
+            np.testing.assert_array_equal(a, b)
 
     def test_chunked_tie_smallest_t(self, monkeypatch):
-        ts = np.linspace(0.0, 1.0, 2048)
-        values = lambda x: np.ones_like(x)
         monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        t, v, _ = chunked_extremum(values, ts, mode="max")
-        assert t == 0.0
+        est = sup_norm(Latitude(0.7, LinearPhase(1.0)), TimeWindow(0.0, 1.0, 2048),
+                       lambda ts, X, Xd, Xdd: np.ones(len(ts)))
+        assert est.argmax_t == 0.0 and est.value == 1.0
+
+
+COMPOUND_SPEC = {
+    "family": "compound",
+    "params": {"base": [0.0, 0.0, 1.0], "frames": [
+        {"axis": [0.3, -0.5, 0.8], "phase": {"kind": "sinusoidal", "amp": 0.35, "omega": 0.8137}},
+        {"axis": [1.0, 0.2, 0.1], "phase": {"kind": "sinusoidal", "amp": 0.3, "omega": 1.3291}},
+        {"axis": [0.0, 1.0, 0.5], "phase": {"kind": "sinusoidal", "amp": 0.25, "omega": 1.7713}},
+    ]},
+}
+
+
+class TestWorkBudget:
+    """The curve is evaluated once per window grid; refinement adds one
+    small batch per golden iteration for all sups together."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        sizes = []
+        original = SphericalCompound.batch
+
+        def counted(curve, ts):
+            sizes.append(len(ts))
+            return original(curve, ts)
+
+        monkeypatch.setattr(SphericalCompound, "batch", counted)
+        return sizes
+
+    def test_probe_q_batch_calls(self, batches):
+        from manifold_landau.inequality import build_curve, probe_q, sample_params
+        params = sample_params("compound", np.random.default_rng(3))
+        q, _ = probe_q(build_curve("compound", params))
+        assert q is not None
+        assert len(batches) <= 32, len(batches)
+
+    @pytest.mark.parametrize("argv, budget", [
+        (["check", "--json"], 41_000),
+        (["check", "--csv"], 41_000),
+        (["diagnose", "--json"], 121_000),
+    ])
+    def test_dense_cli_samples(self, batches, tmp_path, capsys, argv, budget):
+        path = write_spec(tmp_path, COMPOUND_SPEC)
+        assert main([argv[0], path, argv[1]]) in (0, 2)
+        assert capsys.readouterr().out
+        assert 40001 <= sum(batches) <= budget
