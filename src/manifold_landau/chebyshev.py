@@ -42,11 +42,11 @@ class CapCenter:
 
 
 def _cloud_array(points) -> np.ndarray:
-    pts = [p.coords if isinstance(p, SurfacePoint) else np.asarray(p, dtype=float)
-           for p in points]
-    if len(pts) == 0:
+    if not isinstance(points, np.ndarray):
+        points = [p.coords if isinstance(p, SurfacePoint) else p for p in points]
+    if len(points) == 0:
         raise InvalidInputError("need at least one point")
-    P = np.asarray(pts, dtype=float)
+    P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[1] != 3:
         raise InvalidInputError("points must be 3-vectors")
     if not np.all(np.isfinite(P)):

@@ -22,9 +22,6 @@ Curve specs are JSON documents, for example:
 window is optional (periodic curves default to one period, otherwise
 [-20, 20] with 40001 samples); aux defaults to the cap-center chordal
 function on the sphere. Unknown keys anywhere are rejected.
-
-The environment variable MANIFOLD_LANDAU_THREADS overrides the worker
-count that splits each window's curve evaluation (default: available cores).
 """
 
 import argparse
@@ -58,6 +55,7 @@ from .inequality import (
     classical_landau_check,
     counterexample_curve,
     counterexample_report,
+    counterexample_window,
     landau_constant,
     manifold_bound_report,
     proof_diagnostics,
@@ -243,6 +241,8 @@ def _load_spec(path: str) -> dict:
             spec = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SpecValidationError(f"spec is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SpecValidationError(f"spec is not UTF-8 text: {exc}")
     if not isinstance(spec, dict):
         raise SpecValidationError("spec must be a JSON object")
     _check_keys(spec, {"family", "params", "window", "aux", "seed"}, "")
@@ -400,12 +400,14 @@ def _cmd_chebyshev(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    rep = counterexample_report(T=args.T, samples=args.samples)
+    curve = counterexample_curve()
+    jets = curve_jets(curve, counterexample_window(args.T, args.samples))
+    rep = counterexample_report(T=args.T, samples=args.samples, jets=jets)
     if args.json:
         print(emit_json(build_document("counterexample", rep)))
     elif args.csv:
         U = ChordalHalfSquare(rep.cap.e)
-        sys.stdout.write(curve_time_series(counterexample_curve(), rep.window, aux=U))
+        sys.stdout.write(curve_time_series(curve, rep.window, aux=U, jets=jets))
     else:
         _print_kv(_bound_report_text(rep))
         for note in rep.notes:
@@ -472,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="manifold-landau",
         description="Velocity bounds for sphere curves from covariant acceleration: "
                     "evaluate the inequality, its diagnostics, the cap-center "
-                    "construction, the counterexample and a sharpness probe.",
-        epilog="MANIFOLD_LANDAU_THREADS overrides the scan worker count.")
+                    "construction, the counterexample and a sharpness probe.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -537,12 +538,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SpecValidationError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (FileNotFoundError, ManifoldLandauError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not our error
         try:
@@ -550,6 +545,12 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return EXIT_OK
+    except SpecValidationError as exc:
+        print(f"spec error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (OSError, ManifoldLandauError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

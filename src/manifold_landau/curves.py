@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import chunked_batch
 from .errors import (
     IngestionError,
     InvalidCurveError,
@@ -619,18 +618,25 @@ def read_points_csv(path):
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["t", "x", "y", "z"]:
-            raise IngestionError("expected CSV header 't,x,y,z'")
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise IngestionError(f"row {lineno}: expected 4 fields, got {len(row)}", row=lineno)
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise IngestionError(f"row {lineno}: non-numeric field", row=lineno)
+        try:
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header] != ["t", "x", "y", "z"]:
+                raise IngestionError("expected CSV header 't,x,y,z'")
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != 4:
+                    raise IngestionError(f"row {lineno}: expected 4 fields, got {len(row)}",
+                                         row=lineno)
+                try:
+                    vals = [float(c) for c in row]
+                except ValueError:
+                    raise IngestionError(f"row {lineno}: non-numeric field", row=lineno)
+                if not all(map(math.isfinite, vals)):
+                    raise IngestionError(f"row {lineno}: non-finite value", row=lineno)
+                rows.append(vals)
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"CSV is not UTF-8 text: {exc}")
     if not rows:
         raise IngestionError("CSV contains no data rows")
     data = np.asarray(rows, dtype=float)
@@ -674,8 +680,8 @@ class Quantity:
 
 
 def curve_jets(curve, window: TimeWindow) -> JetTable:
-    """Evaluate the curve once on the window grid, split over the scan
-    workers. Windows reaching outside the curve's domain are rejected."""
+    """Evaluate the curve once on the window grid. Windows reaching
+    outside the curve's domain are rejected."""
     dom = curve.domain()
     if dom is not None:
         lo, hi = dom
@@ -684,7 +690,7 @@ def curve_jets(curve, window: TimeWindow) -> JetTable:
             raise OutOfDomainError(
                 f"window [{window.t_min}, {window.t_max}] exceeds curve domain [{lo}, {hi}]")
     ts = window.grid()
-    return JetTable(ts, *chunked_batch(curve.batch, ts))
+    return JetTable(ts, *curve.batch(ts))
 
 
 def quantity_values(manifold, quantity, jets: JetTable, aux=None) -> np.ndarray:

@@ -20,7 +20,6 @@ from scipy.optimize import minimize
 
 from .auxfun import AuxFunction, ChordalHalfSquare, LambdaEstimate, closed_form_lambda, lambda_min
 from .chebyshev import CapCenter, chebyshev_center
-from .config import chunked_batch
 from .curves import (
     GreatCircle,
     JetTable,
@@ -285,7 +284,7 @@ def proof_diagnostics(curve, U: AuxFunction, window: TimeWindow | None = None,
     h = SPEED_FD_STEP
     dom = curve.domain()
     tc = ts if dom is None else np.clip(ts, dom[0] + h, dom[1] - h)
-    z_p, z_m = (np.linalg.norm(chunked_batch(curve.batch, tc + s)[1], axis=1) for s in (h, -h))
+    z_p, z_m = (np.linalg.norm(curve.batch(tc + s)[1], axis=1) for s in (h, -h))
     dz = (z_p - z_m) / (2.0 * h)
     mask = z > 1e-8
     speed_excess = np.where(mask, np.abs(dz) - r2, -np.inf)
@@ -325,13 +324,19 @@ def counterexample_curve() -> GreatCircle:
     return GreatCircle([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], QuadraticPhase(1.0))
 
 
-def counterexample_report(T: float = 50.0, samples: int = 4001) -> BoundReport:
-    """Sphere bound report of the counterexample on [0, T]."""
+def counterexample_window(T: float = 50.0, samples: int = 4001) -> TimeWindow:
+    """The counterexample's window [0, T]."""
     if T <= 0:
         raise InvalidInputError("T must be positive")
-    curve = counterexample_curve()
-    window = TimeWindow(0.0, float(T), samples)
-    rep = sphere_bound_report(curve, window)
+    return TimeWindow(0.0, float(T), samples)
+
+
+def counterexample_report(T: float = 50.0, samples: int = 4001,
+                          jets: JetTable | None = None) -> BoundReport:
+    """Sphere bound report of the counterexample on [0, T]; jets, when
+    given, is the curve's table on counterexample_window(T, samples)."""
+    window = counterexample_window(T, samples)
+    rep = sphere_bound_report(counterexample_curve(), window, jets=jets)
     note = ("counterexample family: speed sup grows like T while the covariant "
             "acceleration sup stays 1")
     return replace(rep, notes=rep.notes + (note,))

@@ -2,22 +2,19 @@ import csv
 import io
 import json
 import math
+import threading
 
 import jsonschema
 import numpy as np
 import pytest
 
 from manifold_landau.cli import main
-from manifold_landau.config import THREADS_ENV_VAR, worker_count
 from manifold_landau.curves import (
+    GreatCircle,
     Latitude,
     LinearPhase,
-    QuadraticPhase,
-    RotatingFrame,
-    SinusoidalPhase,
     SphericalCompound,
     TimeWindow,
-    curve_jets,
     sup_norm,
 )
 from manifold_landau.inequality import landau_constant, sphere_bound_report
@@ -239,30 +236,7 @@ class TestCliOutputs:
 
 
 class TestWorkers:
-    def test_env_var_respected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert worker_count() == 3
-        monkeypatch.setenv(THREADS_ENV_VAR, "junk")
-        assert worker_count() >= 1
-        monkeypatch.delenv(THREADS_ENV_VAR)
-        assert worker_count() >= 1
-
-    def test_chunked_matches_sequential(self, monkeypatch):
-        curve = SphericalCompound(
-            (RotatingFrame([0.3, -0.5, 0.8], SinusoidalPhase(0.4, 1.3)),
-             RotatingFrame([1.0, 0.2, 0.1], SinusoidalPhase(0.3, 0.7, drift=0.2)),
-             RotatingFrame([0.0, 1.0, 0.5], QuadraticPhase(0.05, 0.4))),
-            np.array([0.0, 0.0, 1.0]))
-        window = TimeWindow(-5.0, 5.0, 4096)
-        monkeypatch.setenv(THREADS_ENV_VAR, "1")
-        one = curve_jets(curve, window)
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        four = curve_jets(curve, window)
-        for a, b in zip((one.ts, one.X, one.Xd, one.Xdd), (four.ts, four.X, four.Xd, four.Xdd)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_chunked_tie_smallest_t(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
+    def test_chunked_tie_smallest_t(self):
         est = sup_norm(Latitude(0.7, LinearPhase(1.0)), TimeWindow(0.0, 1.0, 2048),
                        lambda ts, X, Xd, Xdd: np.ones(len(ts)))
         assert est.argmax_t == 0.0 and est.value == 1.0
@@ -284,15 +258,15 @@ class TestWorkBudget:
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        sizes = []
-        original = SphericalCompound.batch
+        """(samples, thread id) of every compound and great-circle batch call."""
+        calls = []
+        for cls in (SphericalCompound, GreatCircle):
+            def counted(curve, ts, original=cls.batch):
+                calls.append((len(ts), threading.get_ident()))
+                return original(curve, ts)
 
-        def counted(curve, ts):
-            sizes.append(len(ts))
-            return original(curve, ts)
-
-        monkeypatch.setattr(SphericalCompound, "batch", counted)
-        return sizes
+            monkeypatch.setattr(cls, "batch", counted)
+        return calls
 
     def test_probe_q_batch_calls(self, batches):
         from manifold_landau.inequality import build_curve, probe_q, sample_params
@@ -310,4 +284,47 @@ class TestWorkBudget:
         path = write_spec(tmp_path, COMPOUND_SPEC)
         assert main([argv[0], path, argv[1]]) in (0, 2)
         assert capsys.readouterr().out
-        assert 40001 <= sum(batches) <= budget
+        assert 40001 <= sum(n for n, _ in batches) <= budget
+        assert {tid for _, tid in batches} == {threading.get_ident()}
+
+    def test_counterexample_csv_samples(self, batches, capsys):
+        assert main(["counterexample", "--csv"]) == 0
+        assert capsys.readouterr().out
+        assert 4001 <= sum(n for n, _ in batches) <= 4_400, sum(n for n, _ in batches)
+
+
+def _non_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe\x00t,x,y,z\n\xc3\x28\n")
+    return str(path)
+
+
+def _sampled_spec(tmp_path, csv_path):
+    return write_spec(tmp_path, {"family": "sampled", "params": {"path": csv_path}},
+                      name="sampled.json")
+
+
+class TestFileErrors:
+    """Unreadable inputs exit 1 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("make_argv", [
+        lambda d: ["check", str(d)],
+        lambda d: ["check", _non_utf8(d, "spec.json")],
+        lambda d: ["check", _sampled_spec(d, str(d))],
+        lambda d: ["check", _sampled_spec(d, _non_utf8(d, "curve.csv"))],
+        lambda d: ["chebyshev", str(d)],
+        lambda d: ["chebyshev", _non_utf8(d, "points.csv")],
+    ], ids=["check-dir", "check-non-utf8", "sampled-dir", "sampled-non-utf8",
+            "chebyshev-dir", "chebyshev-non-utf8"])
+    def test_unreadable_input_exits_1(self, tmp_path, capsys, make_argv):
+        assert main(make_argv(tmp_path)) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "spec error: ")), lines
+        assert not captured.out
+
+    def test_points_csv_names_non_finite_row(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("t,x,y,z\n0.0,0,0,1\n0.1,nan,0,1\n0.2,1,0,0\n", encoding="utf-8")
+        assert main(["chebyshev", str(path)]) == 1
+        assert "row 2" in capsys.readouterr().err
