@@ -84,4 +84,4 @@ from .inequality import (
     sphere_bound_report,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -1,10 +1,14 @@
 """Auxiliary convex functions and their convexity constant along a curve.
 
 Each auxiliary function exposes a value, a Riemannian gradient and the
-Hessian quadratic form. The quadratic form is defined mechanically as
-the second derivative of the function along a geodesic, discretized by
-a symmetric second difference (step 1e-4) with one Richardson step;
-where a closed form exists the two are required to agree.
+Hessian quadratic form, the batch versions over rows of points, and the
+closed-form minimum of the quadratic form over unit tangents. lambda is
+the window minimum of that closed form, read off the curve's jet table
+in the same fused scan as the report's sups. The quadratic form is also
+defined mechanically as the second derivative of the function along a
+geodesic, discretized by a symmetric second difference (step 1e-4) with
+one Richardson step; hessian_quadratic requires the closed form and the
+discretization to agree.
 """
 
 import math
@@ -12,49 +16,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import JetTable, Quantity, SupEstimate, TimeWindow, curve_jets, scan_extremum
-from .errors import InvalidInputError, NumericFailureError, SingularityError
+from .curves import JetTable, Quantity, SupEstimate, TimeWindow, scan_extremum
+from .errors import NumericFailureError, SingularityError
 from .geometry import Manifold, SurfacePoint, TangentVector, as_vector, project_tangent, tangent_frame
-from .golden import golden_max
+# perfbench's tracer test looks golden_max up here; the import goes with ROADMAP item 2
+from .golden import golden_max  # noqa: F401
 
 HESSIAN_FD_STEP = 1e-4
 HESSIAN_AGREEMENT_TOL = 1e-6
 ANTIPODE_GUARD = 1e-8
-DIRECTION_SCAN = 64
 
 
 class AuxFunction:
-    """Interface: scalar value, Riemannian gradient, Hessian quadratic form."""
+    """Interface: scalar value, Riemannian gradient and Hessian quadratic
+    form, with value_batch, gradient_batch, gradient_norm_batch and
+    unit_hessian_min_batch (the minimum of the form over unit tangents)
+    over rows of points."""
 
     kind: str
     manifold: Manifold
-    # True when the minimum of the quadratic form over unit tangents has a
-    # closed form (then unit_hessian_min_batch must be implemented)
-    closed_unit_min: bool = False
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.value(x) for x in X])
-
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.gradient(x) for x in X])
-
-    def gradient_norm_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.gradient_batch(X), axis=1)
-
-    def hessian_closed_form(self, x: np.ndarray, y: np.ndarray):
-        """Closed-form quadratic form value, or None when none is claimed."""
-        return None
-
-    def unit_hessian_min_batch(self, X: np.ndarray):
-        """Direction-independent minimum of the quadratic form on unit
-        tangents, when available in closed form."""
+    def hessian_closed_form(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
+
+    def unit_hessian_argmin(self, x: np.ndarray) -> np.ndarray:
+        """A unit vector at x along which the quadratic form takes its
+        unit-tangent minimum; any one does where the form is isotropic."""
+        if self.manifold.is_sphere:
+            return tangent_frame(x)[0]
+        return np.eye(self.manifold.dim)[0]
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,6 @@ class ChordalHalfSquare(AuxFunction):
 
     e: SurfacePoint
     kind: str = "chordal_half_square"
-    closed_unit_min = True
 
     @property
     def manifold(self):
@@ -102,12 +97,13 @@ class ChordalHalfSquare(AuxFunction):
 
 @dataclass(frozen=True)
 class IntrinsicHalfSquare(AuxFunction):
-    """U(x) = arccos(<e,x>)^2 / 2, half the squared geodesic distance to e.
+    """U(x) = d(e,x)^2 / 2, half the squared geodesic distance to e.
 
-    The gradient comes from projecting the ambient chain-rule gradient;
-    no closed-form Hessian is claimed, the quadratic form is numeric
-    only. Points within 1e-8 of the antipode are rejected, where the
-    arccos derivative blows up.
+    The gradient projects the ambient chain-rule gradient. The Hessian
+    has eigenvalue 1 along the geodesic to e and d cot d across it
+    (Hessian of the distance function in constant curvature 1), so the
+    unit-direction minimum at x is d cot d. Points within 1e-8 of the
+    antipode are rejected, where the distance is not smooth.
     """
 
     e: SurfacePoint
@@ -123,14 +119,17 @@ class IntrinsicHalfSquare(AuxFunction):
             raise SingularityError("intrinsic auxiliary function is singular at the antipode")
         return min(s, 1.0)
 
+    def _cosines(self, X):
+        s = X @ self.e.coords
+        if np.any(s <= -1.0 + ANTIPODE_GUARD):
+            raise SingularityError("curve passes too close to the antipode of e")
+        return s
+
     def value(self, x):
         return 0.5 * math.acos(self._cosine(x)) ** 2
 
     def value_batch(self, X):
-        s = X @ self.e.coords
-        if np.any(s <= -1.0 + ANTIPODE_GUARD):
-            raise SingularityError("curve passes too close to the antipode of e")
-        return 0.5 * np.arccos(np.minimum(s, 1.0)) ** 2
+        return 0.5 * np.arccos(np.minimum(self._cosines(X), 1.0)) ** 2
 
     def gradient(self, x):
         x = as_vector(x, dim=3)
@@ -142,11 +141,36 @@ class IntrinsicHalfSquare(AuxFunction):
             return np.zeros(3)  # at e itself the gradient vanishes
         return (-theta / norm) * ambient
 
+    def gradient_batch(self, X):
+        s = np.minimum(self._cosines(X), 1.0)
+        norm = np.sqrt(np.maximum(0.0, 1.0 - s * s))
+        at_e = norm < 1e-15
+        scale = -np.arccos(s) / np.where(at_e, 1.0, norm)
+        G = scale[:, None] * (self.e.coords - s[:, None] * X)
+        G[at_e] = 0.0  # at e itself the gradient vanishes
+        return G
+
     def gradient_norm_batch(self, X):
-        s = X @ self.e.coords
-        if np.any(s <= -1.0 + ANTIPODE_GUARD):
-            raise SingularityError("curve passes too close to the antipode of e")
-        return np.arccos(np.clip(s, -1.0, 1.0))
+        return np.arccos(np.clip(self._cosines(X), -1.0, 1.0))
+
+    def hessian_closed_form(self, x, y):
+        k = float(self.unit_hessian_min_batch(x[None, :])[0])
+        toward = self.e.coords - float(np.dot(self.e.coords, x)) * x  # along the geodesic to e
+        n = float(np.linalg.norm(toward))
+        a = float(np.dot(y, toward)) / n if n > 0.0 else 0.0
+        return a * a + k * (float(np.dot(y, y)) - a * a)
+
+    def unit_hessian_min_batch(self, X):
+        # arctan2 keeps d accurate near 0, where arccos of the cosine loses half the digits
+        d = np.arctan2(np.linalg.norm(np.cross(X, self.e.coords), axis=1), self._cosines(X))
+        small = d < 1e-6
+        safe = np.where(small, 1.0, d)
+        return np.where(small, 1.0 - d * d / 3.0, safe / np.tan(safe))
+
+    def unit_hessian_argmin(self, x):
+        across = np.cross(x, self.e.coords)  # normal to the geodesic to e
+        n = float(np.linalg.norm(across))
+        return across / n if n > 0.0 else super().unit_hessian_argmin(x)
 
 
 @dataclass(frozen=True)
@@ -155,7 +179,6 @@ class EuclideanQuadratic(AuxFunction):
 
     center: np.ndarray
     kind: str = "euclidean_quadratic"
-    closed_unit_min = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
@@ -197,7 +220,7 @@ class LambdaEstimate:
     value: float
     argmin_t: float
     argmin_direction: object  # TangentVector on the sphere, ndarray on R^d
-    method: str  # "closed_form" | "directional_scan"
+    method: str  # "closed_form"
 
 
 def aux_value(U: AuxFunction, x) -> float:
@@ -216,16 +239,14 @@ def riemannian_gradient(U: AuxFunction, x):
 def hessian_quadratic(U: AuxFunction, x, y) -> float:
     """Quadratic form <Hess U(x) y, y>.
 
-    Computed as the second derivative of U along the geodesic with
-    initial velocity y. Where a closed form exists it is returned and
-    checked against the discretization within 1e-6.
+    The closed form, checked against the second derivative of U along
+    the geodesic with initial velocity y (the discretization) within
+    1e-6 relative.
     """
     coords = _point_coords(U, x)
     yvec = _direction_coords(U, x, y)
     numeric = hessian_quadratic_fd(U, coords, yvec)
     closed = U.hessian_closed_form(coords, yvec)
-    if closed is None:
-        return numeric
     scale = max(1.0, abs(closed))
     if abs(closed - numeric) > HESSIAN_AGREEMENT_TOL * scale:
         raise NumericFailureError(
@@ -252,13 +273,12 @@ def hessian_quadratic_fd(U: AuxFunction, x: np.ndarray, y: np.ndarray,
 
 
 def closed_form_lambda(U: AuxFunction, curve, est: SupEstimate) -> LambdaEstimate:
-    """LambdaEstimate from a min scan of the "aux_unit_hessian_min" quantity;
-    the form is direction-independent, so any unit tangent attains it."""
+    """LambdaEstimate from a min scan of the "aux_unit_hessian_min" quantity,
+    with a unit tangent attaining the minimum at the scan's argmin."""
     x = curve.evaluate(est.argmax_t).x
+    direction = U.unit_hessian_argmin(x)
     if U.manifold.is_sphere:
-        direction = project_tangent(SurfacePoint(x), tangent_frame(x)[0])
-    else:
-        direction = np.eye(U.manifold.dim)[0]
+        direction = project_tangent(SurfacePoint(x), direction)
     return LambdaEstimate(value=est.value, argmin_t=est.argmax_t,
                           argmin_direction=direction, method="closed_form")
 
@@ -266,53 +286,10 @@ def closed_form_lambda(U: AuxFunction, curve, est: SupEstimate) -> LambdaEstimat
 def lambda_min(U: AuxFunction, curve, window: TimeWindow,
                jets: JetTable | None = None) -> LambdaEstimate:
     """Worst (smallest) Hessian quadratic-form value on unit tangents
-    along the curve.
-
-    Direction-independent forms (chordal, Euclidean quadratic) reduce to
-    a refined scan of the closed-form minimum; otherwise 64 unit tangent
-    directions are scanned per sample and the worst is golden-refined
-    over the direction angle.
-    """
-    if U.closed_unit_min:
-        spec = Quantity("aux_unit_hessian_min", aux=U, mode="min")
-        est, = scan_extremum(curve, window, [spec], jets=jets)
-        return closed_form_lambda(U, curve, est)
-
-    if not U.manifold.is_sphere:
-        raise InvalidInputError("directional scan is only implemented on the sphere")
-
-    ts, X, _, _ = curve_jets(curve, window) if jets is None else jets
-    angles = np.linspace(0.0, math.pi, DIRECTION_SCAN, endpoint=False)
-    per_sample = np.array([_directional_values(U, x, *tangent_frame(x), angles).min() for x in X])
-    i_star = int(np.argmin(per_sample))  # the first minimum: ties go to the smallest t
-    t_star, x_star = float(ts[i_star]), X[i_star]
-    u, v = tangent_frame(x_star)
-
-    def over_angle(angle):
-        return -float(_directional_values(U, x_star, u, v, np.array([angle]))[0])
-
-    j0 = float(angles[int(np.argmin(_directional_values(U, x_star, u, v, angles)))])
-    width = math.pi / DIRECTION_SCAN
-    a_star, neg_val = golden_max(over_angle, j0 - width, j0 + width, tol=1e-10)
-    value = min(float(per_sample.min()), -neg_val)
-    xi = math.cos(a_star) * u + math.sin(a_star) * v
-    direction = project_tangent(SurfacePoint(x_star), xi)
-    return LambdaEstimate(value=value, argmin_t=t_star,
-                          argmin_direction=direction, method="directional_scan")
-
-
-def _directional_values(U, x, u, v, angles, h=HESSIAN_FD_STEP):
-    """Richardson-improved second differences along unit directions
-    cos(a) u + sin(a) v, vectorized over the angles."""
-    dirs = np.outer(np.cos(angles), u) + np.outer(np.sin(angles), v)
-    u0 = U.value(x)
-
-    def second_diff(step):
-        up = U.value_batch(np.cos(step) * x + np.sin(step) * dirs)
-        dn = U.value_batch(np.cos(step) * x - np.sin(step) * dirs)
-        return (up - 2.0 * u0 + dn) / (step * step)
-
-    return (4.0 * second_diff(h / 2.0) - second_diff(h)) / 3.0
+    along the curve: a refined min scan of the closed-form minimum."""
+    spec = Quantity("aux_unit_hessian_min", aux=U, mode="min")
+    est, = scan_extremum(curve, window, [spec], jets=jets)
+    return closed_form_lambda(U, curve, est)
 
 
 def _point_coords(U, x):

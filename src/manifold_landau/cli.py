@@ -202,10 +202,10 @@ def _window_from_spec(spec: dict, curve) -> TimeWindow:
                       samples)
 
 
-def _aux_from_spec(spec: dict, curve, jets):
-    """Resolve the aux block: an explicit center builds the function
-    directly, center == "chebyshev" solves for the cap center of the
-    window samples (the jet table's points) first."""
+def _aux_from_spec(spec: dict, curve):
+    """Validate the aux block before the curve is evaluated. Returns the
+    auxiliary function's class and its explicit center, or None for
+    center == "chebyshev": the cap center of the window samples."""
     aux = spec.get("aux", {"kind": "chordal", "center": "chebyshev"})
     if not isinstance(aux, dict):
         raise SpecValidationError("'aux' must be an object", key="aux")
@@ -223,16 +223,16 @@ def _aux_from_spec(spec: dict, curve, jets):
         if c is None or len(c) != curve.manifold.dim:
             raise SpecValidationError("'aux.center' must match the curve dimension",
                                       key="aux.center")
-        return EuclideanQuadratic(np.asarray(c)), None
+        return EuclideanQuadratic, np.asarray(c)
     if kind not in ("chordal", "intrinsic"):
         raise SpecValidationError("'aux.kind' must be chordal, intrinsic or "
                                   "euclidean_quadratic", key="aux.kind")
     if not curve.manifold.is_sphere:
         raise SpecValidationError(f"'{kind}' aux needs a sphere curve", key="aux.kind")
-    cap = chebyshev_center(jets.X) if center == "chebyshev" else None
-    e = cap.e if cap is not None else SurfacePoint(_vector3(center, "aux.center"))
     cls = ChordalHalfSquare if kind == "chordal" else IntrinsicHalfSquare
-    return cls(e), cap
+    if center == "chebyshev":
+        return cls, None
+    return cls, SurfacePoint(_vector3(center, "aux.center"))
 
 
 def _load_spec(path: str) -> dict:
@@ -330,8 +330,10 @@ def _bound_report(spec: dict):
     one evaluation of the curve on the window grid."""
     curve = _curve_from_spec(spec)
     window = _window_from_spec(spec, curve)
+    cls, center = _aux_from_spec(spec, curve)
     jets = curve_jets(curve, window)
-    U, cap = _aux_from_spec(spec, curve, jets)
+    cap = chebyshev_center(jets.X) if center is None else None
+    U = cls(cap.e if cap is not None else center)
     if cap is not None and isinstance(U, ChordalHalfSquare):
         rep = sphere_bound_report(curve, window, cap=cap, jets=jets)
     else:

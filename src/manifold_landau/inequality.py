@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .auxfun import AuxFunction, ChordalHalfSquare, LambdaEstimate, closed_form_lambda, lambda_min
+from .auxfun import AuxFunction, ChordalHalfSquare, LambdaEstimate, closed_form_lambda
 from .chebyshev import CapCenter, chebyshev_center
 from .curves import (
     GreatCircle,
@@ -41,7 +41,6 @@ from .errors import HypothesisViolationError, InvalidInputError, NumericFailureE
 BOUND_TOL = 1e-9          # satisfied means lhs <= rhs * (1 + BOUND_TOL)
 DIAG_REL_TOL = 1e-6       # per-sample diagnostic tolerance, relative
 DIAG_ABS_FLOOR = 1e-12
-SPEED_FD_STEP = 1e-5
 
 EXPONENT_NOTE = ("sphere bound applied to the squared velocity sup norm, "
                  "consistent with the general bound's derivation")
@@ -131,9 +130,10 @@ def manifold_bound_report(curve, U: AuxFunction, window: TimeWindow | None = Non
                           jets: JetTable | None = None) -> BoundReport:
     """Evaluate the general bound for a curve and auxiliary function.
 
-    Every sup (and a closed-form lambda) comes from one fused scan of the
-    window's jets. A vanishing r0 or nonpositive lambda is a hypothesis violation, not
-    an exception: the report comes back with hypotheses_ok False.
+    Every sup and lambda (the window minimum of the closed-form unit
+    Hessian minimum) come from one fused scan of the window's jets. A
+    vanishing r0 or nonpositive lambda is a hypothesis violation, not an
+    exception: the report comes back with hypotheses_ok False.
     """
     if U.manifold.kind != curve.manifold.kind or U.manifold.dim != curve.manifold.dim:
         raise InvalidInputError("curve and auxiliary function live on different manifolds")
@@ -142,11 +142,10 @@ def manifold_bound_report(curve, U: AuxFunction, window: TimeWindow | None = Non
     specs = [Quantity("speed"), Quantity("covariant_accel_norm"),
              Quantity("aux_gradient_norm", aux=U),
              # sup of U enters only through its finiteness, grid precision suffices
-             Quantity("aux_value", aux=U, refine=False)]
-    if U.closed_unit_min:
-        specs.append(Quantity("aux_unit_hessian_min", aux=U, mode="min"))
-    speed, r2, r0, sup_u, *lam = scan_extremum(curve, window, specs, jets=jets)
-    lam = closed_form_lambda(U, curve, lam[0]) if lam else lambda_min(U, curve, window, jets=jets)
+             Quantity("aux_value", aux=U, refine=False),
+             Quantity("aux_unit_hessian_min", aux=U, mode="min")]
+    speed, r2, r0, sup_u, lam = scan_extremum(curve, window, specs, jets=jets)
+    lam = closed_form_lambda(U, curve, lam)
 
     C = landau_constant().C
     lhs = speed.value ** 2
@@ -259,7 +258,8 @@ def proof_diagnostics(curve, U: AuxFunction, window: TimeWindow | None = None,
                       jets: JetTable | None = None) -> ProofDiagnostics:
     """Check, at every grid sample:
       * v^2 <= r0^3 r2 / lambda          (v = <grad U o x, x'>)
-      * |d|x'|/dt| <= r2                 (central difference, |x'| > 1e-8)
+      * |d|x'|/dt| <= r2                 (d|x'|/dt = <x', x''>/|x'| from the jets,
+                                          where |x'| > 1e-8)
       * I(z) <= z0^3 where z >= z0       (z = |x'|, z0 = sqrt(r0 r2 / lambda),
                                           I(z) = z^3/3 - z0^2 z + 2 z0^3/3)
     Raises HypothesisViolationError when the bound's hypotheses fail.
@@ -270,7 +270,7 @@ def proof_diagnostics(curve, U: AuxFunction, window: TimeWindow | None = None,
     if not rep.hypotheses_ok:
         raise HypothesisViolationError(
             "bound hypotheses fail on this curve; diagnostics are undefined")
-    ts, X, Xd, _ = jets
+    ts, X, Xd, Xdd = jets
     grads = U.gradient_batch(X)
     v = np.einsum("ni,ni->n", grads, Xd)
     r0, r2, lam = rep.r0.value, rep.r2.value, rep.lam.value
@@ -281,12 +281,8 @@ def proof_diagnostics(curve, U: AuxFunction, window: TimeWindow | None = None,
     v_ok = bool(v_excess[i_v] <= DIAG_REL_TOL * abs(v_bound) + 1e-16)
 
     z = np.linalg.norm(Xd, axis=1)
-    h = SPEED_FD_STEP
-    dom = curve.domain()
-    tc = ts if dom is None else np.clip(ts, dom[0] + h, dom[1] - h)
-    z_p, z_m = (np.linalg.norm(curve.batch(tc + s)[1], axis=1) for s in (h, -h))
-    dz = (z_p - z_m) / (2.0 * h)
     mask = z > 1e-8
+    dz = np.einsum("ni,ni->n", Xd, Xdd) / np.where(mask, z, 1.0)
     speed_excess = np.where(mask, np.abs(dz) - r2, -np.inf)
     i_s = int(np.argmax(speed_excess))
     s_ok = bool(not mask.any() or

@@ -6,13 +6,12 @@ Non-finite floats serialize as null so the documents stay valid JSON;
 the convention is recorded in the schema description.
 """
 
-import csv
-import io
 import json
 import math
 from dataclasses import fields, is_dataclass
 from functools import cache
 from importlib import resources
+from itertools import chain
 
 import jsonschema
 import numpy as np
@@ -89,15 +88,14 @@ def parse_document(text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (RFC-4180 quoting via the csv module)
+# CSV emission. Every field is a float repr, an int or a fixed identifier,
+# so none ever needs RFC-4180 quoting: rows are joined as they are.
 
 
 def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """CRLF-terminated CSV of string fields; rows is consumed lazily, so
+    only one row's fields exist at a time."""
+    return "\r\n".join(map(",".join, chain([header], rows))) + "\r\n"
 
 
 def _columns_csv(header, cols) -> str:
@@ -139,8 +137,8 @@ def cap_point_table(points: np.ndarray, cap) -> str:
 
 def probe_table(result) -> str:
     rows = [(result.family, repr(result.best_q), repr(result.best_sqrt_q),
-             repr(result.q_upper), result.evaluations, result.skipped,
-             result.budget, result.seed)]
+             repr(result.q_upper), str(result.evaluations), str(result.skipped),
+             str(result.budget), str(result.seed))]
     return _csv_text(
         ["family", "best_q", "best_sqrt_q", "q_upper", "evaluations",
          "skipped", "budget", "seed"], rows)

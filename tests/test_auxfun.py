@@ -22,6 +22,44 @@ SQ2 = math.sqrt(2.0) / 2.0
 POLE = SurfacePoint([0.0, 0.0, 1.0])
 
 
+def _intrinsic_form(x, w):
+    """<Hess U w, w> for U = d(e, x)^2 / 2 with e the pole: eigenvalue 1 on
+    the radial direction toward e and d cot d on the normal x cross e."""
+    d = math.acos(np.clip(np.dot(POLE.coords, x), -1.0, 1.0))
+    radial = POLE.coords - np.dot(POLE.coords, x) * x
+    normal = np.cross(x, POLE.coords)
+    a = np.dot(w, radial) / np.linalg.norm(radial)
+    b = np.dot(w, normal) / np.linalg.norm(normal)
+    return float(a * a + d / math.tan(d) * b * b)
+
+
+def _fd_direction_oracle(U, X, directions=64, h=1e-4):
+    """min over rows x of the smallest eigenvalue of the tangent Hessian,
+    fitted by least squares to Richardson second differences of U along
+    64 unit tangent directions cos(a) u + sin(a) v at x."""
+    angles = np.linspace(0.0, math.pi, directions, endpoint=False)
+    axis = np.eye(3)[np.argmin(np.abs(X), axis=1)]  # the least aligned coordinate axis
+    u = axis - np.einsum("ni,ni->n", axis, X)[:, None] * X
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    v = np.cross(X, u)
+    dirs = (np.cos(angles)[None, :, None] * u[:, None, :]
+            + np.sin(angles)[None, :, None] * v[:, None, :])  # (rows, angles, 3)
+
+    def second_diff(step):
+        on = np.broadcast_to(X[:, None, :], dirs.shape)
+        up = U.value_batch((math.cos(step) * on + math.sin(step) * dirs).reshape(-1, 3))
+        dn = U.value_batch((math.cos(step) * on - math.sin(step) * dirs).reshape(-1, 3))
+        mid = np.repeat(U.value_batch(X), directions)
+        return ((up - 2.0 * mid + dn) / (step * step)).reshape(len(X), directions)
+
+    q = (4.0 * second_diff(h / 2.0) - second_diff(h)) / 3.0
+    # q(a) = A cos^2 a + 2 B cos a sin a + C sin^2 a
+    design = np.column_stack([np.cos(angles) ** 2, 2.0 * np.cos(angles) * np.sin(angles),
+                              np.sin(angles) ** 2])
+    A, B, C = np.linalg.lstsq(design, q.T, rcond=None)[0]
+    return float((0.5 * (A + C) - np.sqrt(0.25 * (A - C) ** 2 + B * B)).min())
+
+
 class TestValues:
     def test_chordal_at_center(self):
         assert aux_value(ChordalHalfSquare(POLE), POLE) == 0.0
@@ -95,6 +133,14 @@ class TestGradient:
             dist = math.acos(np.clip(np.dot(x, POLE.coords), -1, 1))
             assert abs(np.linalg.norm(g.vec) - dist) <= 1e-12
 
+    def test_intrinsic_gradient_batch_matches_scalar(self):
+        rng = np.random.default_rng(17)
+        U = IntrinsicHalfSquare(POLE)
+        X = np.vstack([[random_unit(rng) for _ in range(1000)], POLE.coords])
+        G = U.gradient_batch(X)
+        np.testing.assert_allclose(G, [U.gradient(x) for x in X], rtol=0.0, atol=1e-15)
+        assert np.array_equal(G[-1], np.zeros(3)) and not np.signbit(G[-1]).any()
+
     def test_intrinsic_antipode_singularity(self):
         with pytest.raises(SingularityError):
             riemannian_gradient(IntrinsicHalfSquare(POLE), SurfacePoint([0, 0, -1.0]))
@@ -126,16 +172,29 @@ class TestHessianQuadratic:
             pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form_vs_second_difference_corpus(self):
-        rng = np.random.default_rng(55)
-        U = ChordalHalfSquare(POLE)
-        worst = 0.0
-        for _ in range(1000):
-            x = random_unit(rng)
-            w = rng.uniform(0.3, 2.0) * random_tangent_direction(rng, x)
-            closed = float(np.dot(POLE.coords, x)) * float(np.dot(w, w))
-            fd = hessian_quadratic_fd(U, x, w)
-            worst = max(worst, abs(closed - fd))
-        assert worst <= 1e-6
+        def chordal_form(x, w):
+            return float(np.dot(POLE.coords, x)) * float(np.dot(w, w))
+
+        # (U, its form, lowest <e, x> sampled, error relative to max(1, |form|))
+        cases = ((ChordalHalfSquare(POLE), chordal_form, -1.0, False),
+                 # hessian_quadratic's own tolerance, away from the antipode
+                 (IntrinsicHalfSquare(POLE), _intrinsic_form, -0.5, True))
+        for U, closed_form, lowest, relative in cases:
+            rng = np.random.default_rng(55)
+            worst = 0.0
+            checked = 0
+            for _ in range(1000):
+                x = random_unit(rng)
+                w = rng.uniform(0.3, 2.0) * random_tangent_direction(rng, x)
+                if np.dot(POLE.coords, x) < lowest:
+                    continue
+                closed = closed_form(x, w)
+                assert abs(U.hessian_closed_form(x, w) - closed) <= 1e-14 * max(1.0, abs(closed))
+                err = abs(closed - hessian_quadratic_fd(U, x, w))
+                worst = max(worst, err / max(1.0, abs(closed)) if relative else err)
+                checked += 1
+            assert checked >= 700, U.kind
+            assert worst <= 1e-6, U.kind
 
     def test_homogeneity_closed_form(self):
         rng = np.random.default_rng(3)
@@ -152,8 +211,6 @@ class TestHessianQuadratic:
             assert abs(v2 - c * c * v1) <= 1e-10 * max(1.0, abs(v2))
 
     def test_homogeneity_numeric_intrinsic(self):
-        # the intrinsic form is numeric-only, so the scaling law holds to
-        # discretization accuracy rather than to 1e-10
         rng = np.random.default_rng(4)
         U = IntrinsicHalfSquare(POLE)
         x = random_unit(rng)
@@ -163,7 +220,7 @@ class TestHessianQuadratic:
         v1 = hessian_quadratic(U, SurfacePoint(x), project_tangent(SurfacePoint(x), w))
         v2 = hessian_quadratic(U, SurfacePoint(x),
                                project_tangent(SurfacePoint(x), 2.0 * w))
-        assert abs(v2 - 4.0 * v1) <= 2e-6
+        assert abs(v2 - 4.0 * v1) <= 1e-10 * max(1.0, abs(v2))
 
     def test_plain_second_difference_oracle(self):
         # independent of the library's Richardson version
@@ -210,16 +267,20 @@ class TestLambdaMin:
         est = lambda_min(EuclideanQuadratic(np.zeros(1)), f, self.window())
         assert est.value == 1.0 and est.method == "closed_form"
 
-    def test_intrinsic_directional_scan(self):
+    def test_intrinsic_closed_form_lambda(self):
         # on a latitude circle at colatitude c the worst unit direction gives
         # c * cot(c): second derivative of arccos^2/2 along the transverse
         # geodesic, derivable by hand from U(g(t)) = arccos(cos c cos t)^2 / 2
         # (Hessian comparison on constant curvature: eigenvalues 1 and d cot d)
+        U = IntrinsicHalfSquare(POLE)
         for c in (math.pi / 4, 0.3, 0.7, 1.2, 2.0):
-            est = lambda_min(IntrinsicHalfSquare(POLE), Latitude(c, LinearPhase(1.0)),
-                             TimeWindow(0.0, 2 * math.pi, 65))
-            assert est.method == "directional_scan"
-            assert abs(est.value - c / math.tan(c)) <= 1e-6, c
+            curve = Latitude(c, LinearPhase(1.0))
+            window = TimeWindow(0.0, 2 * math.pi, 65)
+            est = lambda_min(U, curve, window)
+            assert est.method == "closed_form"
+            assert abs(est.value - c / math.tan(c)) <= 1e-12, c
+            X, _, _ = curve.batch(window.grid())
+            assert abs(est.value - _fd_direction_oracle(U, X)) <= 1e-6, c
 
     def test_value_not_above_sampled_directions(self):
         U = IntrinsicHalfSquare(POLE)
@@ -238,6 +299,8 @@ class TestLambdaMin:
                          TimeWindow(0.0, 2 * math.pi, 33))
         d = est.argmin_direction
         assert abs(np.dot(d.vec, d.base.coords)) <= 1e-9
+        assert abs(np.linalg.norm(d.vec) - 1.0) <= 1e-12
+        assert abs(hessian_quadratic(IntrinsicHalfSquare(POLE), d.base, d) - est.value) <= 1e-6
 
     def test_chordal_lambda_is_the_grid_scan_of_inner_products(self):
         # same code path as scanning <e, x(t)> directly

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from manifold_landau.auxfun import ChordalHalfSquare, EuclideanQuadratic, lambda_min
+from manifold_landau.auxfun import (
+    ChordalHalfSquare,
+    EuclideanQuadratic,
+    IntrinsicHalfSquare,
+    lambda_min,
+)
 from manifold_landau.curves import (
     EuclideanAnalytic,
     GreatCircle,
@@ -284,6 +289,26 @@ class TestFusedScan:
             curve = load_sampled(np.column_stack([ts, X]))
         rep = sphere_bound_report(curve)
         self.assert_matches_one_spec_scans(curve, ChordalHalfSquare(rep.cap.e), rep)
+
+    def test_intrinsic_report(self):
+        curve = aperiodic_compound()
+        U = IntrinsicHalfSquare(POLE)
+        rep = manifold_bound_report(curve, U)
+        assert rep.lam.method == "closed_form"
+        self.assert_matches_one_spec_scans(curve, U, rep)
+
+    def test_diagnostics_speed_slope_is_the_central_difference(self):
+        # d|x'|/dt comes from the jets as <x', x''>/|x'|; a central difference
+        # of |x'| on shifted grids is the independent check
+        curve = aperiodic_compound()
+        rep = sphere_bound_report(curve)
+        diag = proof_diagnostics(curve, ChordalHalfSquare(rep.cap.e), report=rep)
+        ts, h = rep.window.grid(), 1e-5
+        z_p, z_m = (np.linalg.norm(curve.batch(ts + s)[1], axis=1) for s in (h, -h))
+        slope = np.abs(z_p - z_m) / (2.0 * h)
+        i = int(np.argmax(slope))
+        assert diag.speed_worst_t == ts[i]
+        assert abs(diag.speed_margin - (slope[i] - rep.r2.value)) <= 1e-6 * slope[i]
 
     def test_euclidean_report(self):
         curve = EuclideanAnalytic(((SinusoidalPhase(1.0, 1.0),),

@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import math
+import pathlib
 import threading
 
 import jsonschema
 import numpy as np
 import pytest
 
+from manifold_landau import reporting
 from manifold_landau.cli import main
 from manifold_landau.curves import (
     GreatCircle,
@@ -235,6 +237,42 @@ class TestCliOutputs:
         assert rows[0] == ["t", "f", "fprime", "fsecond"]
 
 
+def _csv_writer_text(header, rows):
+    """The csv module's RFC-4180 writer: the reference for reporting's CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+SPECFILES = pathlib.Path(__file__).resolve().parent.parent / "specfiles"
+
+
+class TestCsvText:
+    """Every --csv output equals what csv.writer makes of the same rows."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "latitude_quarter.json"],
+        ["diagnose", "latitude_quarter.json"],
+        ["check", "counterexample.json"],  # diagnose stops at the violated hypotheses
+        ["classical", "classical_sine.json"],
+        ["counterexample"],
+        ["probe", "--family", "latitude", "--budget", "2"],
+        ["constant"],
+    ], ids="-".join)
+    def test_matches_csv_writer(self, monkeypatch, capsys, argv):
+        assert sorted(p.name for p in SPECFILES.glob("*.json")) == [
+            "classical_sine.json", "counterexample.json", "latitude_quarter.json"]
+        argv = [str(SPECFILES / a) if a.endswith(".json") else a for a in argv] + ["--csv"]
+        code = main(argv)
+        joined = capsys.readouterr().out
+        monkeypatch.setattr(reporting, "_csv_text", _csv_writer_text)
+        assert main(argv) == code
+        assert capsys.readouterr().out == joined
+        assert joined.count("\r\n") >= 2
+
+
 class TestWorkers:
     def test_chunked_tie_smallest_t(self):
         est = sup_norm(Latitude(0.7, LinearPhase(1.0)), TimeWindow(0.0, 1.0, 2048),
@@ -278,7 +316,7 @@ class TestWorkBudget:
     @pytest.mark.parametrize("argv, budget", [
         (["check", "--json"], 41_000),
         (["check", "--csv"], 41_000),
-        (["diagnose", "--json"], 121_000),
+        (["diagnose", "--json"], 41_000),
     ])
     def test_dense_cli_samples(self, batches, tmp_path, capsys, argv, budget):
         path = write_spec(tmp_path, COMPOUND_SPEC)
@@ -286,6 +324,17 @@ class TestWorkBudget:
         assert capsys.readouterr().out
         assert 40001 <= sum(n for n, _ in batches) <= budget
         assert {tid for _, tid in batches} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("command", ["check", "diagnose"])
+    def test_bad_aux_fails_before_the_curve_is_evaluated(self, batches, tmp_path, capsys,
+                                                         command):
+        path = write_spec(tmp_path, dict(COMPOUND_SPEC, aux={"kind": "bogus"}))
+        assert main([command, path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("spec error: 'aux.kind' must be chordal, intrinsic or "
+                                "euclidean_quadratic\n")
+        assert not captured.out
+        assert sum(n for n, _ in batches) == 0
 
     def test_counterexample_csv_samples(self, batches, capsys):
         assert main(["counterexample", "--csv"]) == 0
