@@ -241,14 +241,17 @@ def hessian_quadratic(U: AuxFunction, x, y) -> float:
 
     The closed form, checked against the second derivative of U along
     the geodesic with initial velocity y (the discretization) within
-    1e-6 relative.
+    1e-6 relative plus the discretization's own roundoff.
     """
     coords = _point_coords(U, x)
     yvec = _direction_coords(U, x, y)
     numeric = hessian_quadratic_fd(U, coords, yvec)
     closed = U.hessian_closed_form(coords, yvec)
-    scale = max(1.0, abs(closed))
-    if abs(closed - numeric) > HESSIAN_AGREEMENT_TOL * scale:
+    # each value of U is off by up to eps |U(x)|, which the Richardson
+    # combination of second differences at h and h/2 amplifies by
+    # (4 * 16 + 4) / 3 < 23 over h^2
+    roundoff = 23.0 * np.finfo(float).eps * abs(U.value(coords)) / HESSIAN_FD_STEP ** 2
+    if abs(closed - numeric) > HESSIAN_AGREEMENT_TOL * max(1.0, abs(closed)) + roundoff:
         raise NumericFailureError(
             f"Hessian closed form {closed!r} and second difference {numeric!r} disagree")
     return closed

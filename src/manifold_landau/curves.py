@@ -7,14 +7,16 @@ nodes they evaluate the local degree-4 interpolant so scan refinement
 has a continuous function to work with.
 
 Suprema over the real line are approximated on a finite window: a
-uniform grid scan followed by golden-section refinement around the
-best grid points. Periodic curves report their period so callers can
+uniform grid scan, then a batched safeguarded parabolic search (golden
+section as its fallback) seeded by the best grid points and their
+neighbours. Periodic curves report their period so callers can
 scan exactly one of them.
 """
 
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -473,15 +475,11 @@ class EuclideanAnalytic(Curve):
 
 SNAP_FRACTION = 1e-9  # of the grid step: closer than this counts as a node
 
-# offsets of the 5-node window relative to the evaluation node, by position
-_WINDOW_PATTERNS = {}
-
-
-def _window_inverse(offsets):
-    if offsets not in _WINDOW_PATTERNS:
-        V = np.vander(np.asarray(offsets, dtype=float), 5, increasing=True)
-        _WINDOW_PATTERNS[offsets] = np.linalg.inv(V)
-    return _WINDOW_PATTERNS[offsets]
+# inverse Vandermonde matrices of the 5-node windows at offsets k..k+4 from
+# the nearest node, indexed by k + 4 (k = -2 in the interior, -4..-3 and
+# -1..0 near the ends)
+_WINDOW_INVERSES = np.stack([np.linalg.inv(np.vander(np.arange(k, k + 5, dtype=float), 5,
+                                                     increasing=True)) for k in range(-4, 1)])
 
 
 @dataclass(frozen=True)
@@ -515,54 +513,45 @@ class SampledCurve(Curve):
     def domain(self):
         return float(self.ts[0]), float(self.ts[-1])
 
-    def _node_jet(self, idx):
-        f = self.points
-        h = self.step
-        n = len(self.ts)
-        i = int(idx)
-        if 2 <= i <= n - 3:
-            xd = (-f[i + 2] + 8 * f[i + 1] - 8 * f[i - 1] + f[i - 2]) / (12 * h)
-            xdd = (-f[i + 2] + 16 * f[i + 1] - 30 * f[i] + 16 * f[i - 1] - f[i - 2]) / (12 * h * h)
-        elif i in (1, n - 2):
-            xd = (f[i + 1] - f[i - 1]) / (2 * h)
-            xdd = (f[i + 1] - 2 * f[i] + f[i - 1]) / (h * h)
-        elif i == 0:
-            xd = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
-            xdd = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h)
-        else:  # i == n - 1
-            xd = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-            xdd = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / (h * h)
-        return f[i], xd, xdd
+    @cached_property
+    def _node_jets(self):
+        """(Xd, Xdd) at every node, by the documented stencils."""
+        f, h = self.points, self.step
+        Xd, Xdd = np.empty_like(f), np.empty_like(f)
+        Xd[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
+        Xdd[2:-2] = (-f[4:] + 16 * f[3:-1] - 30 * f[2:-2] + 16 * f[1:-3] - f[:-4]) / (12 * h * h)
+        near = [1, -2]
+        Xd[near] = (f[[2, -1]] - f[[0, -3]]) / (2 * h)
+        Xdd[near] = (f[[2, -1]] - 2 * f[near] + f[[0, -3]]) / (h * h)
+        Xd[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
+        Xdd[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h)
+        Xd[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
+        Xdd[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / (h * h)
+        return Xd, Xdd
 
     def batch(self, ts):
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain()
         h = self.step
         pad = SNAP_FRACTION * h
-        if np.any(ts < lo - pad) or np.any(ts > hi + pad):
-            bad = ts[(ts < lo - pad) | (ts > hi + pad)][0]
+        outside = ~((ts >= lo - pad) & (ts <= hi + pad))  # NaN too
+        if np.any(outside):
+            bad = ts[outside][0]
             raise OutOfDomainError(f"t = {bad!r} outside sampled domain [{lo!r}, {hi!r}]")
         n = len(self.ts)
-        dim = self.points.shape[1]
-        X = np.empty((len(ts), dim))
-        Xd = np.empty((len(ts), dim))
-        Xdd = np.empty((len(ts), dim))
-        for k, t in enumerate(ts):
-            pos = (t - lo) / h
-            nearest = int(np.clip(round(pos), 0, n - 1))
-            if abs(t - self.ts[nearest]) <= pad:
-                X[k], Xd[k], Xdd[k] = self._node_jet(nearest)
-                continue
-            start = int(np.clip(nearest - 2, 0, n - 5))
-            offsets = tuple(range(start - nearest, start - nearest + 5))
-            Vinv = _window_inverse(offsets)
-            coeff = Vinv @ self.points[start:start + 5]  # (5, dim), powers of s
-            s = (t - self.ts[nearest]) / h
-            powers = s ** np.arange(5)
-            X[k] = powers @ coeff
-            Xd[k] = (np.arange(1, 5) * s ** np.arange(4) / h) @ coeff[1:]
-            d2w = np.array([2.0, 6.0 * s, 12.0 * s * s]) / (h * h)
-            Xdd[k] = d2w @ coeff[2:]
+        nearest = np.clip(np.rint((ts - lo) / h), 0, n - 1).astype(int)
+        X, (Xd, Xdd) = self.points[nearest], (J[nearest] for J in self._node_jets)
+        off = np.abs(ts - self.ts[nearest]) > pad  # closer than pad is the node itself
+        if np.any(off):
+            # the degree-4 interpolant through the 5-node window, in powers of s
+            near = nearest[off]
+            start = np.clip(near - 2, 0, n - 5)
+            coeff = _WINDOW_INVERSES[start - near + 4] @ self.points[start[:, None] + np.arange(5)]
+            s = ((ts[off] - self.ts[near]) / h)[:, None, None]
+            X[off] = (s ** np.arange(5) @ coeff)[:, 0]
+            Xd[off] = (np.arange(1, 5) * s ** np.arange(4) / h @ coeff[:, 1:])[:, 0]
+            d2w = np.concatenate([np.full_like(s, 2.0), 6.0 * s, 12.0 * s * s], axis=2) / (h * h)
+            Xdd[off] = (d2w @ coeff[:, 2:])[:, 0]
         return X, Xd, Xdd
 
 
@@ -671,7 +660,7 @@ class JetTable(NamedTuple):
 @dataclass(frozen=True)
 class Quantity:
     """What scan_extremum looks for: the max or min of a named quantity
-    (or a callable f(ts, X, Xd, Xdd) -> values), golden-refined or not."""
+    (or a callable f(ts, X, Xd, Xdd) -> values), refined off the grid or not."""
 
     quantity: object
     aux: object = None
@@ -721,40 +710,45 @@ def _check_finite(values, ts):
 
 def scan_extremum(curve, window: TimeWindow, specs, jets: JetTable | None = None) -> list:
     """One SupEstimate per Quantity spec: the grid extremum (ties go to
-    the smallest t), then one golden-section search over the brackets of
-    every refined spec together, so each iteration evaluates the curve
-    once for all of them."""
+    the smallest t), then one batched parabolic search (golden_max_batch)
+    over the brackets of every refined spec together, each seeded with
+    its three grid points, so each step evaluates the curve once for all
+    of them."""
     jets = curve_jets(curve, window) if jets is None else jets
     signs = [1.0 if spec.mode == "max" else -1.0 for spec in specs]
     refined = [i for i, spec in enumerate(specs) if spec.refine]
-    k = 3  # golden brackets per refined spec, around its best grid points
+    k = 3  # brackets [t_{g-1}, t_{g+1}] per refined spec, around its best grid points
 
     def signed_values(i, rows):
         vals = quantity_values(curve.manifold, specs[i].quantity, rows, aux=specs[i].aux)
         _check_finite(vals, rows.ts)
         return signs[i] * vals
 
-    def fused(t):  # each point of t takes the value of its bracket's spec, k brackets per spec
+    owner = np.repeat(np.arange(len(refined)), k)  # the spec of each bracket
+
+    def fused(t):  # each point of t takes the value of its bracket's spec
         rows = JetTable(t, *curve.batch(t))
-        owner = np.resize(np.repeat(np.arange(len(refined)), k), len(t))
         return np.choose(owner, [signed_values(i, rows) for i in refined])
 
     grid = [signed_values(i, jets) for i in range(len(specs))]
     xs = ys = np.empty(0)
     if refined:
-        top = np.concatenate([np.argpartition(grid[i], -k)[-k:] for i in refined])
+        last = len(jets.ts) - 1
+        top = [np.argpartition(grid[i], -k)[-k:] for i in refined]
+        seeds = [[np.clip(g + s, 0, last) for g in top] for s in (-1, 0, 1)]  # lo, mid, hi
         # a bracket of 1e-5 steps pins a smooth extremum to ~1e-12 in value
-        xs, ys = golden_max_batch(fused, jets.ts[np.maximum(top - 1, 0)],
-                                  jets.ts[np.minimum(top + 1, len(jets.ts) - 1)],
-                                  tol=max(1e-13, window.step * 1e-5), maxiter=32)
-    golden = iter(zip(xs.reshape(-1, k), ys.reshape(-1, k)))
+        xs, ys = golden_max_batch(
+            fused, [jets.ts[np.concatenate(idx)] for idx in seeds],
+            [np.concatenate([grid[i][g] for i, g in zip(refined, idx)]) for idx in seeds],
+            tol=max(1e-13, window.step * 1e-5), maxiter=32)
+    brackets = iter(zip(xs.reshape(-1, k), ys.reshape(-1, k)))
     out = []
     for spec, sign, values in zip(specs, signs, grid):
         g = int(np.argmax(values))  # argmax returns the first (smallest t)
         best_t, grid_v = float(jets.ts[g]), float(values[g])
         best_v = grid_v
         if spec.refine:
-            bx, by = next(golden)
+            bx, by = next(brackets)
             m = int(np.argmax(by))
             if by[m] > best_v:
                 best_t, best_v = float(bx[m]), float(by[m])
@@ -766,6 +760,6 @@ def scan_extremum(curve, window: TimeWindow, specs, jets: JetTable | None = None
 
 def sup_norm(curve, window: TimeWindow, quantity, aux=None,
              refine: bool = True) -> SupEstimate:
-    """Windowed sup of a scalar quantity: grid max, then golden-section
+    """Windowed sup of a scalar quantity: grid max, then parabolic
     refinement around the 3 best grid points."""
     return scan_extremum(curve, window, [Quantity(quantity, aux, "max", refine)])[0]

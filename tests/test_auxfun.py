@@ -15,7 +15,7 @@ from manifold_landau.auxfun import (
     riemannian_gradient,
 )
 from manifold_landau.curves import GreatCircle, Latitude, LinearPhase, TimeWindow
-from manifold_landau.errors import InvalidInputError, SingularityError
+from manifold_landau.errors import InvalidInputError, NumericFailureError, SingularityError
 from manifold_landau.geometry import SurfacePoint, TangentVector, geodesic, project_tangent
 
 SQ2 = math.sqrt(2.0) / 2.0
@@ -195,6 +195,32 @@ class TestHessianQuadratic:
                 checked += 1
             assert checked >= 700, U.kind
             assert worst <= 1e-6, U.kind
+
+    @pytest.mark.parametrize("seed", [55, 1, 2, 3, 4])
+    def test_roundoff_room_without_hiding_a_wrong_closed_form(self, seed, monkeypatch):
+        # far from e the second difference carries roundoff ~ eps U(x) / h^2,
+        # which a bare 1e-6 check mistook for disagreement
+        rng = np.random.default_rng(seed)
+        points = []
+        for _ in range(1000):
+            x = random_unit(rng)
+            w = rng.uniform(0.3, 2.0) * random_tangent_direction(rng, x)
+            if np.dot(POLE.coords, x) >= -0.9:
+                points.append((x, w))
+        assert len(points) >= 900
+        kinds = (IntrinsicHalfSquare, ChordalHalfSquare)
+        for cls in kinds:
+            for x, w in points:
+                hessian_quadratic(cls(POLE), x, w)
+        for cls in kinds:
+            def off(U, x, y, exact=cls.hessian_closed_form):
+                v = exact(U, x, y)
+                return v + 1e-4 * max(1.0, abs(v))
+
+            monkeypatch.setattr(cls, "hessian_closed_form", off)
+            for x, w in points:
+                with pytest.raises(NumericFailureError):
+                    hessian_quadratic(cls(POLE), x, w)
 
     def test_homogeneity_closed_form(self):
         rng = np.random.default_rng(3)

@@ -223,6 +223,60 @@ class TestSampled:
         with pytest.raises(IngestionError):
             read_curve_csv(path)
 
+    @staticmethod
+    def pointwise_jets(curve, t):
+        """One time at a time: the documented node stencils, else the
+        degree-4 interpolant through the 5 nearest nodes."""
+        f, h, n = curve.points, curve.step, len(curve.ts)
+        i = int(np.clip(round((t - curve.ts[0]) / h), 0, n - 1))
+        if abs(t - curve.ts[i]) <= 1e-9 * h:
+            if 2 <= i <= n - 3:
+                return (f[i], (-f[i + 2] + 8 * f[i + 1] - 8 * f[i - 1] + f[i - 2]) / (12 * h),
+                        (-f[i + 2] + 16 * f[i + 1] - 30 * f[i] + 16 * f[i - 1] - f[i - 2])
+                        / (12 * h * h))
+            if i in (1, n - 2):
+                return (f[i], (f[i + 1] - f[i - 1]) / (2 * h),
+                        (f[i + 1] - 2 * f[i] + f[i - 1]) / (h * h))
+            if i == 0:
+                return (f[0], (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h),
+                        (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h))
+            return (f[-1], (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h),
+                    (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / (h * h))
+        start = int(np.clip(i - 2, 0, n - 5))
+        V = np.vander(np.arange(start - i, start - i + 5, dtype=float), 5, increasing=True)
+        coeff = np.linalg.inv(V) @ f[start:start + 5]
+        s = (t - curve.ts[i]) / h
+        return (s ** np.arange(5) @ coeff, np.arange(1, 5) * s ** np.arange(4) / h @ coeff[1:],
+                np.array([2.0, 6.0 * s, 12.0 * s * s]) / (h * h) @ coeff[2:])
+
+    @pytest.mark.parametrize("n", [5, 6, 257])
+    def test_batch_matches_pointwise_jets(self, n):
+        ts = np.arange(n) * (6.0 / (n - 1))
+        X, _, _ = SphericalCompound((RotatingFrame([0.3, -0.5, 0.8], SinusoidalPhase(0.9, 1.3)),
+                                     RotatingFrame([1.0, 0.2, 0.1], LinearPhase(0.7))),
+                                    [0.0, 0.0, 1.0]).batch(ts)
+        curve = load_sampled(np.column_stack([ts, X]))
+        h = curve.step
+        off = np.concatenate([np.random.default_rng(n).uniform(0.0, 6.0, 200),
+                              ts[:3] + 0.3 * h, ts[-3:] - 0.4 * h, ts[1:-1] + 0.5 * h])
+        snapped = np.concatenate([ts[:2] + 1e-10 * h, ts[-2:] - 1e-10 * h, [6.0 + 1e-10 * h]])
+        nodes = np.concatenate([ts, snapped])
+        for t_all, exact in ((nodes, True), (off, False)):
+            got = curve.batch(t_all)
+            want = [np.array(z) for z in zip(*(self.pointwise_jets(curve, t) for t in t_all))]
+            for g, w in zip(got, want):
+                if exact:
+                    assert np.array_equal(g, w)
+                else:
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+    def test_batch_rejects_times_outside_and_nan(self):
+        curve, ts = self.grid_curve()
+        with pytest.raises(OutOfDomainError, match=r"t = .*0\.75.* outside sampled domain"):
+            curve.batch(np.array([0.0, 0.75]))
+        with pytest.raises(OutOfDomainError, match="t = .*nan.* outside sampled domain"):
+            curve.batch(np.array([0.0, np.nan]))
+
 
 class TestSupNorm:
     def test_constant_speed_latitude(self):
