@@ -7,8 +7,11 @@ hemisphere, minimax duality gives max f = min_{q in conv P} |q|, attained
 at e = q*/|q*|, and one NNLS solve of the least-distance problem finds q*
 exactly (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23;
 Wolfe's 1976 nearest-point algorithm is the same method seen from the
-dual side). An exhaustive icosphere scan with one chart refinement serves
-as the independent oracle.
+dual side). The NNLS is the textbook Lawson-Hanson active-set loop in
+numpy: the passive set never holds more than 4 columns, so each step is a
+tiny least-squares solve plus one pass over the cloud. An exhaustive
+icosphere scan with one chart refinement serves as the independent
+oracle.
 """
 
 import math
@@ -16,14 +19,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.spatial import ConvexHull
 
 from .errors import InvalidInputError, OffManifoldError
 from .geometry import SurfacePoint, skew
 from .golden import golden_max
 
 LDP_RHS = np.array([0.0, 0.0, 0.0, 1.0])  # f of the least-distance NNLS system
+RCOND = 100 * np.finfo(float).eps        # rank cut-off of the NNLS passive columns
 CERTIFICATE_GAP = 1e-12                   # duality gap below which `converged` holds
 ICOSAHEDRON_EDGE_ARC = math.atan(2.0)     # ~63.435 deg between adjacent vertices
 ORACLE_BLOCK = 256                        # icosphere vertices per block of the oracle scan
@@ -80,6 +82,8 @@ def icosphere(level: int) -> np.ndarray:
     to the sphere; 10 * 4**level + 2 vertices."""
     if level < 0:
         raise InvalidInputError("subdivision level must be >= 0")
+    from scipy.spatial import ConvexHull  # the oracle's only use of scipy
+
     verts = [tuple(v) for v in icosahedron_vertices()]
     faces = [tuple(f) for f in ConvexHull(np.array(verts)).simplices]
     for _ in range(level):
@@ -107,6 +111,48 @@ def icosphere(level: int) -> np.ndarray:
     return V
 
 
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """argmin_{u >= 0} |E u - f| by the Lawson-Hanson active-set method
+    (Lawson & Hanson 1974, ch. 23), with one step of iterative refinement
+    on the final passive set. The outer loop is capped at 3n steps, as
+    scipy's nnls is; a capped solve returns its last feasible iterate.
+
+    The entering tolerance is the roundoff of w = E^T (f - E u): the
+    residual involves only the passive columns, at most m of them, so the
+    tolerance does not grow with n. A column that would make the passive
+    set rank-deficient, or enter with a non-positive weight, ends the
+    solve: the iterate is then optimal to roundoff."""
+    m, n = E.shape
+    tol = m * float((np.ones(m) @ np.abs(E)).max()) * np.finfo(float).eps
+    u = np.zeros(n)
+    idx = np.zeros(0, dtype=np.intp)  # the passive set
+    w = E.T @ f
+    for _ in range(3 * n):
+        w[idx] = -math.inf
+        j = int(np.argmax(w))
+        if not w[j] > tol:
+            break
+        idx = np.append(idx, j)
+        z, _, rank, _ = np.linalg.lstsq(E[:, idx], f, rcond=RCOND)
+        if rank < len(idx) or z[-1] <= 0.0:
+            idx = idx[:-1]
+            break
+        while z.min() <= 0.0:  # step back to the boundary, drop the zeros
+            x, bad = u[idx], z <= 0.0
+            ratio = np.where(bad, x / np.where(bad, x - z, 1.0), math.inf)
+            k = int(np.argmin(ratio))
+            x += ratio[k] * (z - x)
+            x[k] = 0.0
+            u[idx] = np.maximum(x, 0.0)
+            idx = idx[x > 0.0]
+            z = np.linalg.lstsq(E[:, idx], f, rcond=None)[0]
+        u[idx] = z
+        w = E.T @ (f - E[:, idx] @ z)
+    A = E[:, idx]
+    u[idx] += np.linalg.lstsq(A, f - A @ u[idx], rcond=None)[0]
+    return np.maximum(u, 0.0)
+
+
 def chebyshev_center(points) -> CapCenter:
     """Cap center of a cloud of unit vectors.
 
@@ -130,7 +176,7 @@ def chebyshev_center(points) -> CapCenter:
     """
     P = _cloud_array(points)
     E = np.vstack([P.T, np.ones(len(P))])
-    u, _ = nnls(E, LDP_RHS)
+    u = _nnls(E, LDP_RHS)
     r = E @ u - LDP_RHS
     norm = float(np.linalg.norm(r[:3]))  # r[:3] = P^T u
     e, f = None, -math.inf

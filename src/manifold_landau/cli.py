@@ -6,9 +6,11 @@ document) and --csv (tabular/time-series output for external plotting).
 
 Exit codes:
     0  success (for check: hypotheses hold and the bound is satisfied)
-    1  I/O or validation error
+    1  I/O, validation or command-line argument error
     2  bound hypotheses violated (the estimate makes no claim)
-    3  bound violated under valid hypotheses (indicates a tool bug)
+    3  bound violated on the checked window under the window's hypotheses;
+       a tool bug only when the window covers whole periods, because the
+       theorem is about the whole real axis
 
 Curve specs are JSON documents, for example:
 
@@ -320,7 +322,7 @@ def _cmd_constant(args) -> int:
     elif args.csv:
         sys.stdout.write(constant_table(lc))
     else:
-        digits = args.digits or 12
+        digits = 12 if args.digits is None else args.digits
         _print_kv([("C", f"{lc.C:.{digits}f}"), ("residual", _fmt(lc.residual, 3))])
     return EXIT_OK
 
@@ -471,8 +473,26 @@ def _add_format_flags(p):
                        help="emit CSV (time series for curve commands)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 1 with one line on stderr (exit 2 means
+    "hypotheses violated"); --help and --version still exit 0."""
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _non_negative_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="manifold-landau",
         description="Velocity bounds for sphere curves from covariant acceleration: "
                     "evaluate the inequality, its diagnostics, the cap-center "
@@ -482,12 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constant", help="the constant C (positive root of z^3 - 3z - 1)")
     _add_format_flags(p)
-    p.add_argument("--digits", type=int, default=None, help="round C to this many digits")
+    p.add_argument("--digits", type=_non_negative_int, default=None,
+                   help="round C to this many digits (default 12)")
     p.set_defaults(fn=_cmd_constant)
 
     p = sub.add_parser("check", help="evaluate the bound for a curve spec",
                        description="Exit 0: hypotheses hold and bound satisfied; "
-                                   "2: hypotheses violated; 3: bound violated (tool bug). "
+                                   "2: hypotheses violated; 3: bound violated on the "
+                                   "window under the window's hypotheses (a tool bug only "
+                                   "when the window covers whole periods). "
                                    "CSV columns: t,speed,covariant_accel_norm,v,aux_value.")
     p.add_argument("spec", help="JSON curve spec file")
     _add_format_flags(p)
@@ -522,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["latitude", "great_circle", "compound"],
                    default="compound")
     p.add_argument("--budget", type=int, default=100, help="random candidates (default 100)")
-    p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    p.add_argument("--seed", type=_non_negative_int, default=42, help="random seed (default 42)")
     _add_format_flags(p)
     p.set_defaults(fn=_cmd_probe)
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .auxfun import AuxFunction, ChordalHalfSquare, LambdaEstimate, closed_form_lambda
 from .chebyshev import CapCenter, chebyshev_center
@@ -464,6 +463,8 @@ def sharpness_probe(family: str, budget: int, seed: int = 42,
 
         x0 = best_params[1:] if family == "compound" else best_params
         if len(x0) > 0:
+            from scipy.optimize import minimize  # only the polish loads scipy
+
             minimize(neg_q, x0, method="Nelder-Mead",
                      options={"maxfev": 60, "xatol": 1e-6, "fatol": 1e-12})
             polished = True

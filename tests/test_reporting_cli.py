@@ -396,3 +396,77 @@ class TestFileErrors:
         path.write_text("t,x,y,z\n0.0,0,0,1\n0.1,nan,0,1\n0.2,1,0,0\n", encoding="utf-8")
         assert main(["chebyshev", str(path)]) == 1
         assert "row 2" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestArgumentErrors:
+    """A bad command-line argument exits 1 with one line naming the flag,
+    never 2 (which means "hypotheses violated") and never a traceback."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["probe", "--budget", "abc"], "--budget"),
+        (["constant", "--digits", "-1"], "--digits"),
+        (["probe", "--seed", "-1"], "--seed"),
+        (["probe", "--seed", "1.5"], "--seed"),
+        (["check"], "spec"),
+        (["bogus"], "bogus"),
+    ], ids=["budget-abc", "digits-negative", "seed-negative", "seed-float", "check-no-spec",
+            "unknown-command"])
+    def test_exits_1_with_one_line(self, capsys, argv, flag):
+        assert _exit_code(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and flag in lines[0], lines
+        assert not captured.out
+
+    def test_digits_zero_is_honoured(self, capsys):
+        assert main(["constant", "--digits", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split() == ["C", "2"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]],
+                             ids=" ".join)
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert _exit_code(argv) == 0
+        assert capsys.readouterr().out
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from manifold_landau import cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_curve_commands_never_import_scipy(tmp_path):
+    """check, diagnose and classical on the shipped specs, counterexample
+    and chebyshev run in a fresh interpreter without loading scipy; only
+    the probe's Nelder-Mead polish and the icosphere oracle use it."""
+    points = tmp_path / "points.csv"
+    X = Latitude(math.pi / 4, LinearPhase(1.0)).batch(np.linspace(0.0, 6.0, 50))[0]
+    points.write_text("t,x,y,z\n" + "".join("0," + ",".join(map(repr, map(float, p))) + "\n"
+                                           for p in X),
+                      encoding="utf-8")
+    specs = sorted(SPECFILES.glob("*.json"))
+    argvs = [[cmd, str(spec)] for cmd in ("check", "diagnose", "classical") for spec in specs]
+    argvs += [["counterexample"], ["chebyshev", str(points)]]
+    src = str(pathlib.Path(manifold_landau.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    # classical_sine, counterexample, latitude_quarter: exit 1 marks a spec the
+    # command does not take
+    assert result["codes"] == [1, 2, 0, 1, 2, 0, 0, 1, 1, 0, 0]
+    assert result["scipy"] == []
