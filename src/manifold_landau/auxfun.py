@@ -257,10 +257,10 @@ def hessian_quadratic(U: AuxFunction, x, y) -> float:
     return closed
 
 
-def hessian_quadratic_fd(U: AuxFunction, x: np.ndarray, y: np.ndarray,
-                         h: float = HESSIAN_FD_STEP, richardson: bool = True) -> float:
+def hessian_quadratic_fd(U: AuxFunction, x: np.ndarray, y: np.ndarray) -> float:
     """Symmetric second difference of U along the geodesic through x with
-    velocity y, optionally improved by one Richardson step."""
+    velocity y, at steps HESSIAN_FD_STEP and half of it, combined by one
+    Richardson step."""
     man = U.manifold
 
     def second_diff(step):
@@ -268,11 +268,7 @@ def hessian_quadratic_fd(U: AuxFunction, x: np.ndarray, y: np.ndarray,
         dn = U.value(man.geodesic_array(x, y, -step))
         return (up - 2.0 * U.value(x) + dn) / (step * step)
 
-    d_h = second_diff(h)
-    if not richardson:
-        return d_h
-    d_h2 = second_diff(h / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0
+    return (4.0 * second_diff(HESSIAN_FD_STEP / 2.0) - second_diff(HESSIAN_FD_STEP)) / 3.0
 
 
 def closed_form_lambda(U: AuxFunction, curve, est: SupEstimate) -> LambdaEstimate:

@@ -481,14 +481,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _non_negative_int(value: str) -> int:
+def _int_at_least(lo: int):
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            n = lo - 1
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value!r}")
+        return n
+    return parse
+
+
+def _positive_float(value: str) -> float:
     try:
-        n = int(value)
+        x = float(value)
     except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
-    return n
+        x = math.nan
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {value!r}")
+    return x
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constant", help="the constant C (positive root of z^3 - 3z - 1)")
     _add_format_flags(p)
-    p.add_argument("--digits", type=_non_negative_int, default=None,
+    p.add_argument("--digits", type=_int_at_least(0), default=None,
                    help="round C to this many digits (default 12)")
     p.set_defaults(fn=_cmd_constant)
 
@@ -534,8 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Great circle with quadratic phase on [0, T]; hypotheses "
                                    "fail for T >= 2 pi. CSV columns: "
                                    "t,speed,covariant_accel_norm,v,aux_value.")
-    p.add_argument("--T", type=float, default=50.0, help="window end (default 50)")
-    p.add_argument("--samples", type=int, default=4001, help="window samples (default 4001)")
+    p.add_argument("--T", type=_positive_float, default=50.0, help="window end (default 50)")
+    p.add_argument("--samples", type=_int_at_least(3), default=4001,
+                   help="window samples (default 4001)")
     _add_format_flags(p)
     p.set_defaults(fn=_cmd_counterexample)
 
@@ -545,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["latitude", "great_circle", "compound"],
                    default="compound")
     p.add_argument("--budget", type=int, default=100, help="random candidates (default 100)")
-    p.add_argument("--seed", type=_non_negative_int, default=42, help="random seed (default 42)")
+    p.add_argument("--seed", type=_int_at_least(0), default=42, help="random seed (default 42)")
     _add_format_flags(p)
     p.set_defaults(fn=_cmd_probe)
 

@@ -351,8 +351,9 @@ class SphericalCompound(Curve):
     """Composition of rotating frames applied to a base point:
     x(t) = R_1(theta_1(t)) ... R_m(theta_m(t)) x0.
 
-    Orthogonal factors keep the point exactly on the sphere, and the
-    product rule gives exact derivatives for any number of factors.
+    Orthogonal factors keep the point exactly on the sphere. The exact
+    jets (x, x', x'') are propagated frame by frame from the innermost
+    out, one Rodrigues rotation of the three vectors per frame.
     """
 
     frames: tuple
@@ -366,63 +367,22 @@ class SphericalCompound(Curve):
         object.__setattr__(self, "base", _unit(self.base, "base"))
 
     def batch(self, ts):
-        # With R_i' = th_i' K_i R_i and R_i'' = th_i'' K_i R_i + th_i'^2 K_i^2 R_i,
-        # every product-rule term collapses to prefix-matrix times vector chains,
-        # which keeps the cost linear in small matvec ops.
+        # K commutes with R(th), so the jet of R(th) v is R(th) applied to
+        # (v, v' + th' K v, v'' + th'' K v + th'^2 K^2 v + 2 th' K v'):
+        # propagate the jets from the innermost frame out. Rows times K.T
+        # apply K to each row (matmul; np.cross costs more per call).
         ts = np.asarray(ts, dtype=float)
-        n = len(ts)
-        m = len(self.frames)
-        eye = np.broadcast_to(np.eye(3), (n, 3, 3))
-        R, K, d1, d2 = [], [], [], []
-        for fr in self.frames:
-            th = np.atleast_1d(fr.phase.value(ts))
-            d1.append(np.atleast_1d(fr.phase.d1(ts)))
-            d2.append(np.atleast_1d(fr.phase.d2(ts)))
-            Km = skew(fr.axis)
-            K.append(Km)
-            sin, cos = np.sin(th), np.cos(th)
-            R.append(eye + sin[:, None, None] * Km
-                     + (1.0 - cos)[:, None, None] * (Km @ Km))
-
-        def matvec(M, u):
-            return np.einsum("nij,nj->ni", M, u)
-
-        def fixvec(Km, u):
-            return np.einsum("ij,nj->ni", Km, u)
-
-        # suffix vectors v[j] = R_j ... R_{m-1} base
-        v = [None] * (m + 1)
-        v[m] = np.broadcast_to(self.base, (n, 3))
-        for j in range(m - 1, -1, -1):
-            v[j] = matvec(R[j], v[j + 1])
-        X = v[0]
-
-        # prefix matrices Q[i] = R_0 ... R_{i-1}; Q[0] is the identity
-        Q = [None] * m
-        for i in range(1, m):
-            Q[i] = R[0] if i == 1 else np.einsum("nij,njk->nik", Q[i - 1], R[i - 1])
-
-        def lapply(i, u):
-            return u if Q[i] is None else matvec(Q[i], u)
-
-        Kv = [fixvec(K[i], v[i]) for i in range(m)]
-
-        Xd = np.zeros_like(X)
-        for i in range(m):
-            Xd += lapply(i, d1[i][:, None] * Kv[i])
-
-        Xdd = np.zeros_like(X)
-        for i in range(m):
-            term = d2[i][:, None] * Kv[i] + (d1[i] ** 2)[:, None] * fixvec(K[i], Kv[i])
-            Xdd += lapply(i, term)
-        for i in range(m):
-            for j in range(i + 1, m):
-                u = d1[j][:, None] * Kv[j]
-                for k in range(j - 1, i, -1):
-                    u = matvec(R[k], u)
-                u = d1[i][:, None] * fixvec(K[i], matvec(R[i], u))
-                Xdd += 2.0 * lapply(i, u)
-        return X, Xd, Xdd
+        J = np.zeros((3, len(ts), 3))  # (x, x', x'') stacked
+        J[0] = self.base
+        for fr in reversed(self.frames):
+            Kt = skew(fr.axis).T
+            th, d1, d2 = (f(ts)[:, None] for f in (fr.phase.value, fr.phase.d1, fr.phase.d2))
+            KJ = J @ Kt
+            J[2] += d2 * KJ[0] + d1 * (d1 * (KJ[0] @ Kt) + 2.0 * KJ[1])
+            J[1] += d1 * KJ[0]
+            KJ = J @ Kt
+            J += np.sin(th) * KJ + (1.0 - np.cos(th)) * (KJ @ Kt)  # Rodrigues' rotation
+        return J[0], J[1], J[2]
 
     def period(self):
         periods = []

@@ -294,7 +294,9 @@ def proof_diagnostics(curve, U: AuxFunction, window: TimeWindow | None = None,
     else:
         iz = z ** 3 / 3.0 - z0 * z0 * z + 2.0 * z0 ** 3 / 3.0
         chain_bound = z0 ** 3
-        chain_excess = np.where(z >= z0, iz - chain_bound, -np.inf)
+        # |x'| = z0 exactly on constant-speed circles: without the
+        # tolerance, roundoff decides whether any sample is checked
+        chain_excess = np.where(z >= z0 * (1.0 - DIAG_REL_TOL), iz - chain_bound, -np.inf)
     i_c = int(np.argmax(chain_excess))
     c_ok = bool(np.all(chain_excess <= DIAG_REL_TOL * abs(chain_bound) + DIAG_ABS_FLOOR))
 
@@ -414,8 +416,7 @@ def probe_q(curve, samples: int = PROBE_SAMPLES):
     return rep.lam.value * rep.lhs / denom, rep
 
 
-def sharpness_probe(family: str, budget: int, seed: int = 42,
-                    polish: bool = True, samples: int = PROBE_SAMPLES) -> ProbeResult:
+def sharpness_probe(family: str, budget: int, seed: int = 42) -> ProbeResult:
     """Random search over one family, then Nelder-Mead polish of the best
     candidate. Candidates whose hypotheses fail are skipped but counted.
     The best Q found is a lower bound on how sharp the constant is; the
@@ -436,7 +437,7 @@ def sharpness_probe(family: str, budget: int, seed: int = 42,
     def consider(params):
         nonlocal evaluations, skipped, best_q, best_params
         try:
-            q, _ = probe_q(build_curve(family, params), samples=samples)
+            q, _ = probe_q(build_curve(family, params))
         except (InvalidInputError, NumericFailureError):
             q = None
         evaluations += 1
@@ -454,7 +455,7 @@ def sharpness_probe(family: str, budget: int, seed: int = 42,
         consider(sample_params(family, rng))
 
     polished = False
-    if polish and best_params is not None and len(best_params) > 0:
+    if best_params is not None and len(best_params) > 0:
         def neg_q(p):
             if family == "compound":
                 p = np.concatenate([[best_params[0]], p])

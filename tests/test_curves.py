@@ -28,6 +28,7 @@ from manifold_landau.errors import (
     NumericFailureError,
     OutOfDomainError,
 )
+from manifold_landau.geometry import skew
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -68,6 +69,60 @@ class TestAnalyticEval:
             pos = lambda s: curve.evaluate(s).x
             np.testing.assert_allclose(ev.xdot, fd6_first(pos, t), atol=1e-8)
             np.testing.assert_allclose(ev.xddot, fd6_second(pos, t), atol=1e-6)
+
+    @staticmethod
+    def prefix_matrix_jets(curve, ts):
+        """The product rule written out with per-sample rotation matrices,
+        prefix products, suffix vectors and the pairwise cross terms."""
+        n, m = len(ts), len(curve.frames)
+        eye = np.broadcast_to(np.eye(3), (n, 3, 3))
+        R, K, d1, d2 = [], [], [], []
+        for fr in curve.frames:
+            th = fr.phase.value(ts)
+            d1.append(fr.phase.d1(ts))
+            d2.append(fr.phase.d2(ts))
+            K.append(skew(fr.axis))
+            R.append(eye + np.sin(th)[:, None, None] * K[-1]
+                     + (1.0 - np.cos(th))[:, None, None] * (K[-1] @ K[-1]))
+
+        def matvec(M, u):
+            return np.einsum("nij,nj->ni", M, u)
+
+        v = [None] * (m + 1)  # v[j] = R_j ... R_{m-1} base
+        v[m] = np.broadcast_to(curve.base, (n, 3))
+        for j in range(m - 1, -1, -1):
+            v[j] = matvec(R[j], v[j + 1])
+        Q = [eye]  # Q[i] = R_0 ... R_{i-1}
+        for i in range(1, m):
+            Q.append(np.einsum("nij,njk->nik", Q[-1], R[i - 1]))
+        Kv = [v[i] @ K[i].T for i in range(m)]
+        Xd = sum(matvec(Q[i], d1[i][:, None] * Kv[i]) for i in range(m))
+        Xdd = sum(matvec(Q[i], d2[i][:, None] * Kv[i] + (d1[i] ** 2)[:, None] * (Kv[i] @ K[i].T))
+                  for i in range(m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                u = d1[j][:, None] * Kv[j]
+                for k in range(j - 1, i, -1):
+                    u = matvec(R[k], u)
+                Xdd = Xdd + 2.0 * matvec(Q[i], d1[i][:, None] * (matvec(R[i], u) @ K[i].T))
+        return v[0], Xd, Xdd
+
+    @pytest.mark.parametrize("n", [1, 15, 513, 4001])
+    def test_compound_matches_prefix_matrix_reference(self, n):
+        rng = np.random.default_rng([15, n])
+        kinds = (lambda: SinusoidalPhase(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 3.0),
+                                         drift=rng.uniform(-1.0, 1.0)),
+                 lambda: QuadraticPhase(rng.uniform(-0.5, 0.5), rng.uniform(-2.0, 2.0)),
+                 lambda: LinearPhase(rng.uniform(-3.0, 3.0), rng.uniform(-math.pi, math.pi)))
+        for _ in range(100):
+            frames = [RotatingFrame(random_unit(rng), kinds[rng.integers(3)]())
+                      for _ in range(rng.integers(1, 7))]
+            curve = SphericalCompound(frames, random_unit(rng))
+            ts = rng.uniform(-20.0, 20.0, n)
+            for got, want in zip(curve.batch(ts), self.prefix_matrix_jets(curve, ts)):
+                scale = np.maximum(1.0, np.abs(want).max(axis=0))
+                err = (np.abs(got - want) / scale).max()
+                assert err <= 1e-12, (err, curve)
 
     def test_sphere_invariants_large_range(self):
         curves = [unit_great_circle(),

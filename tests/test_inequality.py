@@ -193,6 +193,18 @@ class TestDiagnostics:
         # U o x is constant on a latitude circle, so v vanishes
         assert diag.v_bound_margin <= 0.0
 
+    def test_constant_speed_circles_check_the_chain_step(self):
+        # |x'| equals z0 = sqrt(r0 r2 / lambda) on these circles, so every
+        # sample is on the chain step's boundary, where I(z) - z0^3 = -z0^3
+        rng = np.random.default_rng(15)
+        circles = [(0.3, 1.0), (0.5, 1.0)] + [(rng.uniform(0.1, 1.4), rng.uniform(0.2, 3.0))
+                                              for _ in range(60)]
+        for colat, omega in circles:
+            diag = proof_diagnostics(Latitude(colat, LinearPhase(omega)), ChordalHalfSquare(POLE))
+            assert diag.chain_ok
+            assert math.isclose(diag.chain_margin, -(math.sin(colat) * omega) ** 3,
+                                rel_tol=1e-6), (colat, omega, diag.chain_margin)
+
     def test_sinusoidal_arc_fixture(self):
         # regression fixture: oscillating great-circle arc with the cap center
         curve = GreatCircle([1.0, 0, 0], [0, 1.0, 0], SinusoidalPhase(0.9, 1.0))

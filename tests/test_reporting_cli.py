@@ -415,8 +415,13 @@ class TestArgumentErrors:
         (["probe", "--seed", "1.5"], "--seed"),
         (["check"], "spec"),
         (["bogus"], "bogus"),
+        (["counterexample", "--samples", "2"], "--samples"),
+        (["counterexample", "--T", "nan"], "--T"),
+        (["counterexample", "--T", "inf"], "--T"),
+        (["counterexample", "--T", "0"], "--T"),
+        (["counterexample", "--T", "-1"], "--T"),
     ], ids=["budget-abc", "digits-negative", "seed-negative", "seed-float", "check-no-spec",
-            "unknown-command"])
+            "unknown-command", "samples-2", "T-nan", "T-inf", "T-zero", "T-negative"])
     def test_exits_1_with_one_line(self, capsys, argv, flag):
         assert _exit_code(argv) == 1
         captured = capsys.readouterr()
