@@ -19,7 +19,7 @@ import numpy as np
 from .curves import JetTable, Quantity, SupEstimate, TimeWindow, scan_extremum
 from .errors import NumericFailureError, SingularityError
 from .geometry import Manifold, SurfacePoint, TangentVector, as_vector, project_tangent, tangent_frame
-# perfbench's tracer test looks golden_max up here; the import goes with ROADMAP item 2
+# perfbench's tracer test looks golden_max up here; the import goes with ROADMAP item 1
 from .golden import golden_max  # noqa: F401
 
 HESSIAN_FD_STEP = 1e-4

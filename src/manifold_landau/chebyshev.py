@@ -64,6 +64,16 @@ def _objective(P: np.ndarray, x: np.ndarray) -> float:
     return float(np.min(P @ x))
 
 
+# The 20 faces of icosahedron_vertices() in the order and orientation that
+# scipy.spatial.ConvexHull lists them; the order fixes the icosphere's vertex
+# order and so the oracle's tie-breaking.
+ICOSAHEDRON_FACES = (
+    (0, 1, 2), (6, 4, 2), (6, 0, 5), (6, 0, 2), (7, 3, 1), (7, 0, 5), (7, 0, 1),
+    (8, 4, 2), (8, 1, 2), (8, 3, 1), (8, 9, 3), (8, 9, 4), (10, 9, 4), (10, 6, 4),
+    (10, 6, 5), (11, 7, 5), (11, 9, 3), (11, 7, 3), (11, 10, 9), (11, 10, 5),
+)
+
+
 def icosahedron_vertices() -> np.ndarray:
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     raw = []
@@ -82,10 +92,8 @@ def icosphere(level: int) -> np.ndarray:
     to the sphere; 10 * 4**level + 2 vertices."""
     if level < 0:
         raise InvalidInputError("subdivision level must be >= 0")
-    from scipy.spatial import ConvexHull  # the oracle's only use of scipy
-
     verts = [tuple(v) for v in icosahedron_vertices()]
-    faces = [tuple(f) for f in ConvexHull(np.array(verts)).simplices]
+    faces = ICOSAHEDRON_FACES
     for _ in range(level):
         index = {v: i for i, v in enumerate(verts)}
         midpoint_cache = {}

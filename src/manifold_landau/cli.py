@@ -557,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "evaluations,skipped,budget,seed.")
     p.add_argument("--family", choices=["latitude", "great_circle", "compound"],
                    default="compound")
-    p.add_argument("--budget", type=int, default=100, help="random candidates (default 100)")
+    p.add_argument("--budget", type=_int_at_least(1), default=100, help="random candidates (default 100)")
     p.add_argument("--seed", type=_int_at_least(0), default=42, help="random seed (default 42)")
     _add_format_flags(p)
     p.set_defaults(fn=_cmd_probe)

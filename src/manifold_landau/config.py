@@ -5,5 +5,5 @@ def worker_count() -> int:
     """The number of threads the library evaluates on: always 1.
 
     Only the benchmark's provenance record reads this; it can go with
-    the benchmark's next change (ROADMAP item 6)."""
+    the benchmark's next change (ROADMAP item 1)."""
     return 1

@@ -416,6 +416,69 @@ def probe_q(curve, samples: int = PROBE_SAMPLES):
     return rep.lam.value * rep.lhs / denom, rep
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
+def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> None:
+    """Minimize f from x0 step for step as scipy 1.17's default
+    `minimize(method="Nelder-Mead")` does, so it evaluates the same points
+    in the same order; the probe records each one, so nothing is returned."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    N = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = (1 + nonzdelt) * sim[k + 1, k] if sim[k + 1, k] != 0 else zdelt
+    fsim = np.full(N + 1, np.inf)
+    fcalls = 0
+
+    def func(x):
+        nonlocal fcalls
+        if fcalls >= maxfev:
+            raise _BudgetSpent
+        fcalls += 1
+        return f(np.copy(x))
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = func(sim[k])
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+        while fcalls < maxfev:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                return
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = func(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = func(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = func(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+            ind = np.argsort(fsim)
+            sim, fsim = sim[ind], fsim[ind]
+    except _BudgetSpent:
+        pass
+
+
 def sharpness_probe(family: str, budget: int, seed: int = 42) -> ProbeResult:
     """Random search over one family, then Nelder-Mead polish of the best
     candidate. Candidates whose hypotheses fail are skipped but counted.
@@ -464,10 +527,7 @@ def sharpness_probe(family: str, budget: int, seed: int = 42) -> ProbeResult:
 
         x0 = best_params[1:] if family == "compound" else best_params
         if len(x0) > 0:
-            from scipy.optimize import minimize  # only the polish loads scipy
-
-            minimize(neg_q, x0, method="Nelder-Mead",
-                     options={"maxfev": 60, "xatol": 1e-6, "fatol": 1e-12})
+            _nelder_mead(neg_q, x0, maxfev=60, xatol=1e-6, fatol=1e-12)
             polished = True
 
     notes = ()

@@ -13,7 +13,6 @@ from functools import cache
 from importlib import resources
 from itertools import chain
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -66,6 +65,8 @@ def build_document(command: str, report, seed=None, notes=()) -> dict:
 @cache
 def _validator():
     # checking the schema itself is the costly part: do it once per process
+    import jsonschema  # text and CSV runs never load it
+
     schema = json.loads(resources.files("manifold_landau").joinpath(
         "schemas/report.schema.json").read_text(encoding="utf-8"))
     cls = jsonschema.validators.validator_for(schema)

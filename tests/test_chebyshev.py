@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import nnls
+from scipy.spatial import ConvexHull
 
 from helpers import hemisphere_cloud, random_rotation, random_tangent_direction, random_unit
 from manifold_landau import chebyshev
 from manifold_landau.chebyshev import (
+    ICOSAHEDRON_FACES,
     chebyshev_center,
     chebyshev_grid_oracle,
     icosahedron_vertices,
@@ -352,3 +354,22 @@ class TestIcosphere:
     def test_negative_level_rejected(self):
         with pytest.raises(InvalidInputError):
             icosphere(-1)
+
+    def test_faces_are_the_edge_adjacent_triples(self):
+        adjacent = np.isclose(icosahedron_vertices() @ icosahedron_vertices().T,
+                              1.0 / math.sqrt(5.0), atol=1e-12)
+        triples = {frozenset((i, j, k)) for i in range(12) for j in range(i) for k in range(j)
+                   if adjacent[i, j] and adjacent[j, k] and adjacent[i, k]}
+        assert len(ICOSAHEDRON_FACES) == 20
+        assert {frozenset(f) for f in ICOSAHEDRON_FACES} == triples
+
+    def test_faces_and_level_5_match_the_convex_hull(self, monkeypatch):
+        """The table keeps ConvexHull's face order and orientation, so the
+        level-5 vertex order, and with it the oracle's tie-breaking, is
+        bit-identical to an icosphere built from the hull."""
+        hull = [tuple(f) for f in ConvexHull(icosahedron_vertices()).simplices]
+        assert list(ICOSAHEDRON_FACES) == [tuple(map(int, f)) for f in hull]
+        V = icosphere(5)
+        monkeypatch.setattr(chebyshev, "ICOSAHEDRON_FACES", hull)
+        ref = icosphere.__wrapped__(5)  # past the cache
+        assert V.shape == ref.shape and V.tobytes() == ref.tobytes()

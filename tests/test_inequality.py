@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from manifold_landau import inequality
 from manifold_landau.auxfun import (
     ChordalHalfSquare,
     EuclideanQuadratic,
@@ -250,6 +252,47 @@ class TestProbe:
     def test_probe_q_skips_hypothesis_failures(self):
         q, rep = probe_q(counterexample_curve(), samples=257)
         assert q is None and not rep.hypotheses_ok
+
+
+def scipy_nelder_mead(f, x0, maxfev, xatol, fatol):
+    minimize(f, x0, method="Nelder-Mead",
+             options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+
+
+class TestNelderMeadPort:
+    """The polish's numpy Nelder-Mead against scipy.optimize.minimize on
+    the probe corpus: each probe evaluates the same candidates in the
+    same order and reports the same result."""
+
+    @pytest.mark.parametrize("family", PROBE_FAMILIES)
+    def test_matches_scipy_on_probe_corpus(self, family, monkeypatch):
+        real_build, real_q = inequality.build_curve, inequality.probe_q
+        memo, seen = {}, []
+
+        def q_of(key):  # key is (family, params) from the patched build_curve
+            if key not in memo:
+                memo[key] = real_q(real_build(key[0], np.array(key[1])))
+            seen.append(memo[key][0])
+            return memo[key]
+
+        monkeypatch.setattr(inequality, "build_curve", lambda fam, p: (fam, tuple(map(float, p))))
+        monkeypatch.setattr(inequality, "probe_q", q_of)
+
+        def run(seed):
+            seen.clear()
+            res = sharpness_probe(family, budget=30, seed=seed)
+            return list(seen), res
+
+        for seed in range(12):
+            q_port, port = run(seed)
+            with monkeypatch.context() as m:
+                m.setattr(inequality, "_nelder_mead", scipy_nelder_mead)
+                q_ref, ref = run(seed)
+            assert port.polished and len(q_port) > 30
+            assert q_port == q_ref, seed
+            assert repr(port.best_q) == repr(ref.best_q), seed
+            assert port.best_params == ref.best_params, seed
+            assert (port.evaluations, port.skipped) == (ref.evaluations, ref.skipped), seed
 
 
 class TestSoundnessMiniCorpus:

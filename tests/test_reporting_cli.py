@@ -410,6 +410,8 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("argv, flag", [
         (["probe", "--budget", "abc"], "--budget"),
+        (["probe", "--budget", "0"], "--budget"),
+        (["probe", "--budget", "-3"], "--budget"),
         (["constant", "--digits", "-1"], "--digits"),
         (["probe", "--seed", "-1"], "--seed"),
         (["probe", "--seed", "1.5"], "--seed"),
@@ -420,8 +422,9 @@ class TestArgumentErrors:
         (["counterexample", "--T", "inf"], "--T"),
         (["counterexample", "--T", "0"], "--T"),
         (["counterexample", "--T", "-1"], "--T"),
-    ], ids=["budget-abc", "digits-negative", "seed-negative", "seed-float", "check-no-spec",
-            "unknown-command", "samples-2", "T-nan", "T-inf", "T-zero", "T-negative"])
+    ], ids=["budget-abc", "budget-0", "budget-negative", "digits-negative", "seed-negative",
+            "seed-float", "check-no-spec", "unknown-command", "samples-2", "T-nan", "T-inf",
+            "T-zero", "T-negative"])
     def test_exits_1_with_one_line(self, capsys, argv, flag):
         assert _exit_code(argv) == 1
         captured = capsys.readouterr()
@@ -442,6 +445,12 @@ class TestArgumentErrors:
 
 NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
+if sys.argv[2] == "block":
+    class BlockScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is blocked")
+    sys.meta_path.insert(0, BlockScipy())
 from manifold_landau import cli
 codes = []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -452,10 +461,9 @@ print(json.dumps({"codes": codes,
 """
 
 
-def test_curve_commands_never_import_scipy(tmp_path):
-    """check, diagnose and classical on the shipped specs, counterexample
-    and chebyshev run in a fresh interpreter without loading scipy; only
-    the probe's Nelder-Mead polish and the icosphere oracle use it."""
+def _run_every_command(tmp_path, mode):
+    """Run every CLI command in a fresh interpreter; return its exit codes
+    and the scipy modules it loaded."""
     points = tmp_path / "points.csv"
     X = Latitude(math.pi / 4, LinearPhase(1.0)).batch(np.linspace(0.0, 6.0, 50))[0]
     points.write_text("t,x,y,z\n" + "".join("0," + ",".join(map(repr, map(float, p))) + "\n"
@@ -463,15 +471,34 @@ def test_curve_commands_never_import_scipy(tmp_path):
                       encoding="utf-8")
     specs = sorted(SPECFILES.glob("*.json"))
     argvs = [[cmd, str(spec)] for cmd in ("check", "diagnose", "classical") for spec in specs]
-    argvs += [["counterexample"], ["chebyshev", str(points)]]
+    argvs += [["counterexample"], ["chebyshev", str(points)], ["probe", "--budget", "5", "--json"],
+              ["constant", "--json"]]
     src = str(pathlib.Path(manifold_landau.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(argvs)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(argvs), mode],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
-    # classical_sine, counterexample, latitude_quarter: exit 1 marks a spec the
-    # command does not take
-    assert result["codes"] == [1, 2, 0, 1, 2, 0, 0, 1, 1, 0, 0]
+    return json.loads(done.stdout)
+
+
+# classical_sine, counterexample, latitude_quarter: exit 1 marks a spec the
+# command does not take
+EVERY_COMMAND_CODES = [1, 2, 0, 1, 2, 0, 0, 1, 1, 0, 0, 0, 0]
+
+
+def test_curve_commands_never_import_scipy(tmp_path):
+    """check, diagnose and classical on the shipped specs, counterexample,
+    chebyshev, probe and constant run in a fresh interpreter without
+    loading scipy."""
+    result = _run_every_command(tmp_path, "watch")
+    assert result["codes"] == EVERY_COMMAND_CODES
+    assert result["scipy"] == []
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    """With every scipy import made to fail, each command exits as it
+    does with scipy installed: the runtime does not need scipy."""
+    result = _run_every_command(tmp_path, "block")
+    assert result["codes"] == EVERY_COMMAND_CODES
     assert result["scipy"] == []
