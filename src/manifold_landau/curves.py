@@ -32,6 +32,7 @@ from .geometry import Manifold, as_vector, skew
 from .golden import golden_max_batch
 
 TWO_PI = 2.0 * math.pi
+JET_BLOCK = 4096  # samples per compound propagation block: 0.9 MB of scratch buffers
 
 
 # ---------------------------------------------------------------------------
@@ -45,14 +46,10 @@ class LinearPhase:
     omega: float
     phi: float = 0.0
 
-    def value(self, t):
-        return self.omega * t + self.phi
-
-    def d1(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.omega)
-
-    def d2(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+    def jets(self, t):
+        """(theta, theta', theta'') at the times t."""
+        t = np.asarray(t, dtype=float)
+        return self.omega * t + self.phi, np.full_like(t, self.omega), np.zeros_like(t)
 
     @property
     def is_constant(self):
@@ -74,15 +71,10 @@ class QuadraticPhase:
     alpha: float
     omega: float = 0.0
 
-    def value(self, t):
+    def jets(self, t):
         t = np.asarray(t, dtype=float)
-        return 0.5 * self.alpha * t * t + self.omega * t
-
-    def d1(self, t):
-        return self.alpha * np.asarray(t, dtype=float) + self.omega
-
-    def d2(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.alpha)
+        return (0.5 * self.alpha * t * t + self.omega * t, self.alpha * t + self.omega,
+                np.full_like(t, self.alpha))
 
     @property
     def is_constant(self):
@@ -105,17 +97,12 @@ class SinusoidalPhase:
     omega: float
     drift: float = 0.0
 
-    def value(self, t):
+    def jets(self, t):
         t = np.asarray(t, dtype=float)
-        return self.amp * np.sin(self.omega * t) + self.drift * t
-
-    def d1(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.amp * self.omega * np.cos(self.omega * t) + self.drift
-
-    def d2(self, t):
-        t = np.asarray(t, dtype=float)
-        return -self.amp * self.omega ** 2 * np.sin(self.omega * t)
+        wt = self.omega * t
+        s = np.sin(wt)
+        return (self.amp * s + self.drift * t, self.amp * self.omega * np.cos(wt) + self.drift,
+                -self.amp * self.omega ** 2 * s)
 
     @property
     def is_constant(self):
@@ -284,9 +271,7 @@ class GreatCircle(Curve):
             raise InvalidCurveError(f"a and b must be orthogonal (<a,b> = {dot:.3e})")
 
     def batch(self, ts):
-        th = self.phase.value(ts)
-        d1 = self.phase.d1(ts)
-        d2 = self.phase.d2(ts)
+        th, d1, d2 = self.phase.jets(ts)
         c, s = np.cos(th), np.sin(th)
         u = np.outer(c, self.a) + np.outer(s, self.b)      # x
         w = np.outer(-s, self.a) + np.outer(c, self.b)     # dx/dtheta
@@ -314,9 +299,7 @@ class Latitude(Curve):
     def batch(self, ts):
         sc = math.sin(self.colatitude)
         cc = math.cos(self.colatitude)
-        th = self.phase.value(ts)
-        d1 = self.phase.d1(ts)
-        d2 = self.phase.d2(ts)
+        th, d1, d2 = self.phase.jets(ts)
         c, s = np.cos(th), np.sin(th)
         n = len(np.atleast_1d(th))
         X = np.column_stack([sc * c, sc * s, np.full(n, cc)])
@@ -369,20 +352,37 @@ class SphericalCompound(Curve):
     def batch(self, ts):
         # K commutes with R(th), so the jet of R(th) v is R(th) applied to
         # (v, v' + th' K v, v'' + th'' K v + th'^2 K^2 v + 2 th' K v'):
-        # propagate the jets from the innermost frame out. Rows times K.T
-        # apply K to each row (matmul; np.cross costs more per call).
+        # propagate the jets from the innermost frame out. Blocks of at most
+        # JET_BLOCK samples, laid out (jet, coordinate, sample), are rotated
+        # in place in three scratch buffers, so no temporary outgrows a block.
         ts = np.asarray(ts, dtype=float)
-        J = np.zeros((3, len(ts), 3))  # (x, x', x'') stacked
-        J[0] = self.base
-        for fr in reversed(self.frames):
-            Kt = skew(fr.axis).T
-            th, d1, d2 = (f(ts)[:, None] for f in (fr.phase.value, fr.phase.d1, fr.phase.d2))
-            KJ = J @ Kt
-            J[2] += d2 * KJ[0] + d1 * (d1 * (KJ[0] @ Kt) + 2.0 * KJ[1])
-            J[1] += d1 * KJ[0]
-            KJ = J @ Kt
-            J += np.sin(th) * KJ + (1.0 - np.cos(th)) * (KJ @ Kt)  # Rodrigues' rotation
-        return J[0], J[1], J[2]
+        n = len(ts)
+        out = np.empty((3, n, 3))  # (x, x', x'') stacked
+        # near-equal blocks: BLAS rounds a lone row differently from the same
+        # row inside a larger product, so no block may be a single row
+        blocks = max(1, -(-n // JET_BLOCK))
+        edges = [n * i // blocks for i in range(blocks + 1)]
+        frames = [(fr.phase, skew(fr.axis)) for fr in reversed(self.frames)]
+        buffers = np.empty((3, 3, 3, -(-n // blocks)))  # (J, KJ, KKJ)
+        for lo, hi in zip(edges, edges[1:]):
+            t = ts[lo:hi]
+            J, KJ, KKJ = buffers[..., :hi - lo]
+            J[0] = self.base[:, None]
+            J[1:] = 0.0
+            for phase, K in frames:
+                th, d1, d2 = phase.jets(t)
+                np.matmul(K, J[:2], out=KJ[:2])
+                np.matmul(K, KJ[0], out=KKJ[0])
+                J[2] += d2 * KJ[0] + d1 * (d1 * KKJ[0] + 2.0 * KJ[1])
+                J[1] += d1 * KJ[0]
+                np.matmul(K, J, out=KJ)  # Rodrigues' rotation
+                np.matmul(K, KJ, out=KKJ)
+                KKJ *= 1.0 - np.cos(th)
+                KJ *= np.sin(th)
+                KJ += KKJ
+                J += KJ
+            out[:, lo:hi] = J.transpose(0, 2, 1)
+        return out[0], out[1], out[2]
 
     def period(self):
         periods = []
@@ -415,9 +415,8 @@ class EuclideanAnalytic(Curve):
         Xdd = np.zeros((n, d))
         for j, terms in enumerate(self.components):
             for term in terms:
-                X[:, j] += term.value(ts)
-                Xd[:, j] += term.d1(ts)
-                Xdd[:, j] += term.d2(ts)
+                for J, v in zip((X, Xd, Xdd), term.jets(ts)):
+                    J[:, j] += v
         return X, Xd, Xdd
 
     def period(self):

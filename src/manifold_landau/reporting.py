@@ -64,14 +64,12 @@ def build_document(command: str, report, seed=None, notes=()) -> dict:
 
 @cache
 def _validator():
-    # checking the schema itself is the costly part: do it once per process
+    # the shipped schema itself is checked by the test suite, not per process
     import jsonschema  # text and CSV runs never load it
 
     schema = json.loads(resources.files("manifold_landau").joinpath(
         "schemas/report.schema.json").read_text(encoding="utf-8"))
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate_document(doc: dict) -> None:

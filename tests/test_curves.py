@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from manifold_landau.curves import (
     SphericalCompound,
     TimeWindow,
     combine_periods,
+    curve_jets,
     default_window,
     load_sampled,
     read_curve_csv,
@@ -78,9 +80,9 @@ class TestAnalyticEval:
         eye = np.broadcast_to(np.eye(3), (n, 3, 3))
         R, K, d1, d2 = [], [], [], []
         for fr in curve.frames:
-            th = fr.phase.value(ts)
-            d1.append(fr.phase.d1(ts))
-            d2.append(fr.phase.d2(ts))
+            th, d1_i, d2_i = fr.phase.jets(ts)
+            d1.append(d1_i)
+            d2.append(d2_i)
             K.append(skew(fr.axis))
             R.append(eye + np.sin(th)[:, None, None] * K[-1]
                      + (1.0 - np.cos(th))[:, None, None] * (K[-1] @ K[-1]))
@@ -107,22 +109,75 @@ class TestAnalyticEval:
                 Xdd = Xdd + 2.0 * matvec(Q[i], d1[i][:, None] * (matvec(R[i], u) @ K[i].T))
         return v[0], Xd, Xdd
 
-    @pytest.mark.parametrize("n", [1, 15, 513, 4001])
-    def test_compound_matches_prefix_matrix_reference(self, n):
+    @staticmethod
+    def one_pass_jets(curve, ts):
+        """The same propagation as SphericalCompound.batch in one pass over
+        all rows, laid out (jet, sample, coordinate)."""
+        J = np.zeros((3, len(ts), 3))
+        J[0] = curve.base
+        for fr in reversed(curve.frames):
+            Kt = skew(fr.axis).T
+            th, d1, d2 = (v[:, None] for v in fr.phase.jets(ts))
+            KJ = J @ Kt
+            J[2] += d2 * KJ[0] + d1 * (d1 * (KJ[0] @ Kt) + 2.0 * KJ[1])
+            J[1] += d1 * KJ[0]
+            KJ = J @ Kt
+            J += np.sin(th) * KJ + (1.0 - np.cos(th)) * (KJ @ Kt)
+        return J
+
+    # sizes on both sides of the block boundaries (curves.JET_BLOCK = 4096
+    # rows), and a few curves at the default window's 40001
+    @pytest.mark.parametrize("n,curves", [pytest.param(n, c, id=str(n)) for n, c in [
+        (1, 100), (15, 100), (513, 100), (4001, 100), (4095, 100), (4096, 100), (4097, 100),
+        (8193, 50), (40001, 4)]])
+    def test_compound_matches_prefix_matrix_reference(self, n, curves):
         rng = np.random.default_rng([15, n])
         kinds = (lambda: SinusoidalPhase(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 3.0),
                                          drift=rng.uniform(-1.0, 1.0)),
                  lambda: QuadraticPhase(rng.uniform(-0.5, 0.5), rng.uniform(-2.0, 2.0)),
                  lambda: LinearPhase(rng.uniform(-3.0, 3.0), rng.uniform(-math.pi, math.pi)))
-        for _ in range(100):
+        for _ in range(curves):
             frames = [RotatingFrame(random_unit(rng), kinds[rng.integers(3)]())
                       for _ in range(rng.integers(1, 7))]
             curve = SphericalCompound(frames, random_unit(rng))
             ts = rng.uniform(-20.0, 20.0, n)
-            for got, want in zip(curve.batch(ts), self.prefix_matrix_jets(curve, ts)):
+            jets = curve.batch(ts)
+            for got in jets:
+                assert got.shape == (n, 3) and got.flags.c_contiguous
+            for got, want in zip(jets, self.prefix_matrix_jets(curve, ts)):
                 scale = np.maximum(1.0, np.abs(want).max(axis=0))
                 err = (np.abs(got - want) / scale).max()
                 assert err <= 1e-12, (err, curve)
+            # blocking changes neither the arithmetic nor its order
+            np.testing.assert_array_equal(np.stack(jets), self.one_pass_jets(curve, ts))
+
+    def test_compound_jets_peak_memory(self):
+        # a churn guard: the propagation works in block-sized buffers, so
+        # the peak stays near the size of the jet table it returns
+        frames = (RotatingFrame([0.3, 0.5, 0.8], SinusoidalPhase(0.9, 0.889)),
+                  RotatingFrame([0.9, -0.1, 0.2], SinusoidalPhase(0.7, 1.723)),
+                  RotatingFrame([-0.2, 0.6, 0.4], SinusoidalPhase(1.1, 1.096)))
+        curve = SphericalCompound(frames, [0, 0, 1.0])
+        window = default_window(curve)
+        assert window.samples == 40001
+        tracemalloc.start()
+        try:
+            jets = curve_jets(curve, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(a.nbytes for a in jets), peak
+
+    @pytest.mark.parametrize("phase", [LinearPhase(-1.3, 0.4), QuadraticPhase(0.35, -0.8),
+                                       SinusoidalPhase(0.9, 1.7),
+                                       SinusoidalPhase(-1.2, 0.6, drift=0.45)],
+                             ids=["linear", "quadratic", "sinusoidal", "sinusoidal-drift"])
+    def test_phase_jets_match_finite_differences(self, phase):
+        theta = lambda s: phase.jets(np.array([s]))[0][0]
+        for t in (-7.3, -0.2, 0.0, 1.1, 13.9):
+            _, d1, d2 = (float(v[0]) for v in phase.jets(np.array([t])))
+            assert d1 == pytest.approx(fd6_first(theta, t), abs=1e-9)
+            assert d2 == pytest.approx(fd6_second(theta, t), abs=1e-7)
 
     def test_sphere_invariants_large_range(self):
         curves = [unit_great_circle(),

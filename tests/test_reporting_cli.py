@@ -75,6 +75,15 @@ class TestDocuments:
         assert body["lambda"]["method"] == "closed_form"
         assert body["cap"]["converged"] in (True, False)
 
+    def test_shipped_schema_is_a_valid_schema(self):
+        # the library validates documents against the schema without
+        # checking the schema itself, which costs every JSON process
+        schema = json.loads(pathlib.Path(manifold_landau.__file__).with_name("schemas")
+                            .joinpath("report.schema.json").read_text(encoding="utf-8"))
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        assert isinstance(reporting._validator(), cls)
+
     def test_invalid_documents_still_raise(self):
         doc = build_document("constant", landau_constant())
         missing = {k: v for k, v in doc.items() if k != "command"}
