@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -37,13 +38,11 @@ from . import __version__
 from .auxfun import ChordalHalfSquare, EuclideanQuadratic, IntrinsicHalfSquare
 from .chebyshev import chebyshev_center
 from .curves import (
+    PHASE_KINDS,
     EuclideanAnalytic,
     GreatCircle,
     Latitude,
-    LinearPhase,
-    QuadraticPhase,
     RotatingFrame,
-    SinusoidalPhase,
     SphericalCompound,
     TimeWindow,
     curve_jets,
@@ -114,21 +113,16 @@ def _phase_from_spec(obj, path):
     if not isinstance(obj, dict):
         raise SpecValidationError(f"'{path}' must be an object", key=path)
     kind = _need(obj, "kind", path)
-    if kind == "linear":
-        _check_keys(obj, {"kind", "omega", "phi"}, path)
-        return LinearPhase(_number(_need(obj, "omega", path), f"{path}.omega"),
-                           _number(obj.get("phi", 0.0), f"{path}.phi"))
-    if kind == "quadratic":
-        _check_keys(obj, {"kind", "alpha", "omega"}, path)
-        return QuadraticPhase(_number(_need(obj, "alpha", path), f"{path}.alpha"),
-                              _number(obj.get("omega", 0.0), f"{path}.omega"))
-    if kind == "sinusoidal":
-        _check_keys(obj, {"kind", "amp", "omega", "drift"}, path)
-        return SinusoidalPhase(_number(_need(obj, "amp", path), f"{path}.amp"),
-                               _number(_need(obj, "omega", path), f"{path}.omega"),
-                               _number(obj.get("drift", 0.0), f"{path}.drift"))
-    raise SpecValidationError(f"'{path}.kind' must be linear, quadratic or sinusoidal",
-                              key=f"{path}.kind")
+    cls = PHASE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        *kinds, last = PHASE_KINDS
+        raise SpecValidationError(f"'{path}.kind' must be {', '.join(kinds)} or {last}",
+                                  key=f"{path}.kind")
+    _check_keys(obj, {"kind", *(f.name for f in fields(cls))}, path)
+    # the phase's fields in order; one without a default is required
+    return cls(*(_number(_need(obj, f.name, path) if f.default is MISSING
+                         else obj.get(f.name, f.default), f"{path}.{f.name}")
+                 for f in fields(cls)))
 
 
 def _curve_from_spec(spec: dict):
@@ -258,11 +252,10 @@ def _load_spec(path: str) -> dict:
 # output helpers
 
 
-def _print_kv(pairs, stream=None):
-    stream = stream if stream is not None else sys.stdout
+def _print_kv(pairs):
     width = max(len(k) for k, _ in pairs)
     for k, v in pairs:
-        print(f"{k.ljust(width)}  {v}", file=stream)
+        print(f"{k.ljust(width)}  {v}")
 
 
 def _fmt(x, digits=12):
@@ -311,19 +304,29 @@ def _check_exit(rep) -> int:
     return EXIT_OK
 
 
+def _emit(args, command, body, text, csv, seed=None, notes=()):
+    """Print one command's output: the JSON document of body, the table
+    csv() returns, or the key-value rows text() returns followed by the
+    lines in notes. Only the chosen form is built."""
+    if args.json:
+        print(emit_json(build_document(command, body, seed=seed)))
+    elif args.csv:
+        sys.stdout.write(csv())
+    else:
+        _print_kv(text())
+        for line in notes:
+            print(line)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_constant(args) -> int:
     lc = landau_constant()
-    if args.json:
-        print(emit_json(build_document("constant", lc)))
-    elif args.csv:
-        sys.stdout.write(constant_table(lc))
-    else:
-        digits = 12 if args.digits is None else args.digits
-        _print_kv([("C", f"{lc.C:.{digits}f}"), ("residual", _fmt(lc.residual, 3))])
+    _emit(args, "constant", lc,
+          lambda: [("C", f"{lc.C:.{args.digits}f}"), ("residual", _fmt(lc.residual, 3))],
+          lambda: constant_table(lc))
     return EXIT_OK
 
 
@@ -346,14 +349,9 @@ def _bound_report(spec: dict):
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
     curve, window, jets, U, rep = _bound_report(spec)
-    if args.json:
-        print(emit_json(build_document("check", rep, seed=spec.get("seed"))))
-    elif args.csv:
-        sys.stdout.write(curve_time_series(curve, window, aux=U, jets=jets))
-    else:
-        _print_kv(_bound_report_text(rep))
-        for note in rep.notes:
-            print(f"note: {note}")
+    _emit(args, "check", rep, lambda: _bound_report_text(rep),
+          lambda: curve_time_series(curve, window, aux=U, jets=jets),
+          seed=spec.get("seed"), notes=[f"note: {n}" for n in rep.notes])
     return _check_exit(rep)
 
 
@@ -365,41 +363,29 @@ def _cmd_diagnose(args) -> int:
     except HypothesisViolationError as exc:
         print(f"hypotheses violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESES
-    if args.json:
-        print(emit_json(build_document("diagnose", diag, seed=spec.get("seed"))))
-    elif args.csv:
-        sys.stdout.write(curve_time_series(curve, window, aux=U, jets=jets))
-    else:
-        _print_kv([
-            ("v bound ok        ", str(diag.v_bound_ok)),
-            ("  worst t / margin", f"{_fmt(diag.v_bound_worst_t)} / {_fmt(diag.v_bound_margin, 3)}"),
-            ("speed slope ok    ", str(diag.speed_lipschitz_ok)),
-            ("  worst t / margin", f"{_fmt(diag.speed_worst_t)} / {_fmt(diag.speed_margin, 3)}"),
-            ("chain ok          ", str(diag.chain_ok)),
-            ("  worst t / margin", f"{_fmt(diag.chain_worst_t)} / {_fmt(diag.chain_margin, 3)}"),
-        ])
+    _emit(args, "diagnose", diag, lambda: [
+        ("v bound ok        ", str(diag.v_bound_ok)),
+        ("  worst t / margin", f"{_fmt(diag.v_bound_worst_t)} / {_fmt(diag.v_bound_margin, 3)}"),
+        ("speed slope ok    ", str(diag.speed_lipschitz_ok)),
+        ("  worst t / margin", f"{_fmt(diag.speed_worst_t)} / {_fmt(diag.speed_margin, 3)}"),
+        ("chain ok          ", str(diag.chain_ok)),
+        ("  worst t / margin", f"{_fmt(diag.chain_worst_t)} / {_fmt(diag.chain_margin, 3)}"),
+    ], lambda: curve_time_series(curve, window, aux=U, jets=jets), seed=spec.get("seed"))
     ok = diag.v_bound_ok and diag.speed_lipschitz_ok and diag.chain_ok
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _cmd_chebyshev(args) -> int:
-    _, points = read_points_csv(args.csvfile)
+    points = read_points_csv(args.csvfile)[1]
     cap = chebyshev_center(points)
-    if args.json:
-        body = {"cap": cap, "points": len(points)}
-        print(emit_json(build_document("chebyshev", body)))
-    elif args.csv:
-        sys.stdout.write(cap_point_table(points, cap))
-    else:
-        _print_kv([
-            ("points           ", str(len(points))),
-            ("cap center e     ", "(" + ", ".join(_fmt(c) for c in cap.e.coords) + ")"),
-            ("min inner product", _fmt(cap.min_inner_product)),
-            ("chordal radius   ", _fmt(cap.minimax_chordal_radius)),
-            ("converged        ", str(cap.converged)),
-        ])
-        if cap.warning:
-            print(f"warning: {cap.warning}")
+    _emit(args, "chebyshev", {"cap": cap, "points": len(points)}, lambda: [
+        ("points           ", str(len(points))),
+        ("cap center e     ", "(" + ", ".join(_fmt(c) for c in cap.e.coords) + ")"),
+        ("min inner product", _fmt(cap.min_inner_product)),
+        ("chordal radius   ", _fmt(cap.minimax_chordal_radius)),
+        ("converged        ", str(cap.converged)),
+    ], lambda: cap_point_table(points, cap),
+          notes=[f"warning: {cap.warning}"] if cap.warning else ())
     return EXIT_OK
 
 
@@ -407,33 +393,23 @@ def _cmd_counterexample(args) -> int:
     curve = counterexample_curve()
     jets = curve_jets(curve, counterexample_window(args.T, args.samples))
     rep = counterexample_report(T=args.T, samples=args.samples, jets=jets)
-    if args.json:
-        print(emit_json(build_document("counterexample", rep)))
-    elif args.csv:
-        U = ChordalHalfSquare(rep.cap.e)
-        sys.stdout.write(curve_time_series(curve, rep.window, aux=U, jets=jets))
-    else:
-        _print_kv(_bound_report_text(rep))
-        for note in rep.notes:
-            print(f"note: {note}")
+    _emit(args, "counterexample", rep, lambda: _bound_report_text(rep),
+          lambda: curve_time_series(curve, rep.window, aux=ChordalHalfSquare(rep.cap.e),
+                                    jets=jets),
+          notes=[f"note: {n}" for n in rep.notes])
     return EXIT_OK
 
 
 def _cmd_probe(args) -> int:
     result = sharpness_probe(args.family, args.budget, seed=args.seed)
-    if args.json:
-        print(emit_json(build_document("probe", result, seed=args.seed)))
-    elif args.csv:
-        sys.stdout.write(probe_table(result))
-    else:
-        _print_kv([
-            ("family     ", result.family),
-            ("best Q     ", _fmt(result.best_q)),
-            ("sqrt(Q)    ", _fmt(result.best_sqrt_q)),
-            ("ceiling C^2", _fmt(result.q_upper)),
-            ("evaluations", str(result.evaluations)),
-            ("skipped    ", str(result.skipped)),
-        ])
+    _emit(args, "probe", result, lambda: [
+        ("family     ", result.family),
+        ("best Q     ", _fmt(result.best_q)),
+        ("sqrt(Q)    ", _fmt(result.best_sqrt_q)),
+        ("ceiling C^2", _fmt(result.q_upper)),
+        ("evaluations", str(result.evaluations)),
+        ("skipped    ", str(result.skipped)),
+    ], lambda: probe_table(result), seed=args.seed)
     return EXIT_OK
 
 
@@ -446,22 +422,16 @@ def _cmd_classical(args) -> int:
     window = _window_from_spec(spec, curve)
     jets = curve_jets(curve, window)
     rep = classical_landau_check(curve, window, jets=jets)
-    if args.json:
-        print(emit_json(build_document("classical", rep, seed=spec.get("seed"))))
-    elif args.csv:
-        sys.stdout.write(scalar_time_series(curve, window, jets=jets))
-    else:
-        _print_kv([
-            ("sup |f|  ", _fmt(rep.f_sup.value)),
-            ("sup |f'| ", _fmt(rep.fprime_sup.value)),
-            ("sup |f''|", _fmt(rep.fsecond_sup.value)),
-            ("lhs |f'|^2      ", _fmt(rep.lhs)),
-            ("rhs 2|f| |f''|  ", _fmt(rep.rhs)),
-            ("slack lhs/rhs   ", _fmt(rep.slack_ratio)),
-            ("satisfied       ", str(rep.satisfied)),
-        ])
-        for note in rep.notes:
-            print(f"note: {note}")
+    _emit(args, "classical", rep, lambda: [
+        ("sup |f|  ", _fmt(rep.f_sup.value)),
+        ("sup |f'| ", _fmt(rep.fprime_sup.value)),
+        ("sup |f''|", _fmt(rep.fsecond_sup.value)),
+        ("lhs |f'|^2      ", _fmt(rep.lhs)),
+        ("rhs 2|f| |f''|  ", _fmt(rep.rhs)),
+        ("slack lhs/rhs   ", _fmt(rep.slack_ratio)),
+        ("satisfied       ", str(rep.satisfied)),
+    ], lambda: scalar_time_series(curve, window, jets=jets),
+          seed=spec.get("seed"), notes=[f"note: {n}" for n in rep.notes])
     return EXIT_OK if rep.satisfied else EXIT_VIOLATION
 
 
@@ -514,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constant", help="the constant C (positive root of z^3 - 3z - 1)")
     _add_format_flags(p)
-    p.add_argument("--digits", type=_int_at_least(0), default=None,
+    p.add_argument("--digits", type=_int_at_least(0), default=12,
                    help="round C to this many digits (default 12)")
     p.set_defaults(fn=_cmd_constant)
 

@@ -33,6 +33,8 @@ from .golden import golden_max_batch
 
 TWO_PI = 2.0 * math.pi
 JET_BLOCK = 4096  # samples per compound propagation block: 0.9 MB of scratch buffers
+PERIOD_TOL = 1e-9  # combine_periods: relative tolerance of a whole-number period ratio
+PERIOD_MAX_MULTIPLE = 64  # combine_periods: multiples of the running period tried
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +126,7 @@ class SinusoidalPhase:
 PHASE_KINDS = {"linear": LinearPhase, "quadratic": QuadraticPhase, "sinusoidal": SinusoidalPhase}
 
 
-def combine_periods(periods, tol=1e-9, max_multiple=64):
+def combine_periods(periods):
     """Least common period of the given list, if the entries are
     commensurate within small integer multiples; None otherwise.
 
@@ -139,10 +141,10 @@ def combine_periods(periods, tol=1e-9, max_multiple=64):
     common = ps[0]
     for p in ps[1:]:
         found = None
-        for m in range(1, max_multiple + 1):
+        for m in range(1, PERIOD_MAX_MULTIPLE + 1):
             ratio = m * common / p
             n = round(ratio)
-            if n >= 1 and abs(ratio - n) <= tol * max(1.0, ratio):
+            if n >= 1 and abs(ratio - n) <= PERIOD_TOL * max(1.0, ratio):
                 found = m * common
                 break
         if found is None:
@@ -514,6 +516,36 @@ class SampledCurve(Curve):
         return X, Xd, Xdd
 
 
+def _check_grid(ts, lines) -> None:
+    """At least 5 times, strictly increasing, uniform within 1e-9 relative
+    step jitter; an error names time i by its row, lines[i]."""
+    if len(ts) < 5:
+        raise IngestionError(f"need at least 5 rows, got {len(ts)}", row=len(ts))
+    steps = np.diff(ts)
+    if np.any(steps <= 0):
+        bad = lines[int(np.argwhere(steps <= 0)[0, 0]) + 1]
+        raise IngestionError(f"times must be strictly increasing; violated at row {bad}", row=bad)
+    nominal = (ts[-1] - ts[0]) / (len(ts) - 1)
+    jitter = np.abs(steps - nominal) / nominal
+    if np.any(jitter > 1e-9):
+        bad = lines[int(np.argmax(jitter > 1e-9)) + 1]
+        raise IngestionError(
+            f"non-uniform grid at row {bad}: step deviates by {jitter.max():.3e} relative",
+            row=bad)
+
+
+def _unit_points(pts, lines):
+    """The points renormalized, each within 1e-6 of unit norm; an error
+    names point i by its row, lines[i]."""
+    norms = np.linalg.norm(pts, axis=1)
+    off = np.abs(norms - 1.0)
+    if np.any(off > 1e-6):
+        bad = lines[int(np.argmax(off > 1e-6))]
+        raise IngestionError(f"point at row {bad} is off the unit sphere by {off.max():.3e}",
+                             row=bad)
+    return pts / norms[:, None]
+
+
 def load_sampled(rows) -> SampledCurve:
     """Build a sphere SampledCurve from (t, x, y, z) rows.
 
@@ -524,46 +556,31 @@ def load_sampled(rows) -> SampledCurve:
     data = np.asarray(list(rows), dtype=float)
     if data.ndim != 2 or data.shape[1] != 4:
         raise IngestionError("rows must be (t, x, y, z) quadruples")
-    if data.shape[0] < 5:
-        raise IngestionError(f"need at least 5 rows, got {data.shape[0]}", row=data.shape[0])
     if not np.all(np.isfinite(data)):
         bad = int(np.argwhere(~np.all(np.isfinite(data), axis=1))[0, 0]) + 1
         raise IngestionError(f"non-finite value at row {bad}", row=bad)
-    ts = data[:, 0]
-    steps = np.diff(ts)
-    if np.any(steps <= 0):
-        bad = int(np.argwhere(steps <= 0)[0, 0]) + 2
-        raise IngestionError(f"times must be strictly increasing; violated at row {bad}", row=bad)
-    nominal = (ts[-1] - ts[0]) / (len(ts) - 1)
-    jitter = np.abs(steps - nominal) / nominal
-    if np.any(jitter > 1e-9):
-        bad = int(np.argmax(jitter > 1e-9)) + 2
-        raise IngestionError(
-            f"non-uniform grid at row {bad}: step deviates by {jitter.max():.3e} relative",
-            row=bad)
-    pts = data[:, 1:]
-    norms = np.linalg.norm(pts, axis=1)
-    off = np.abs(norms - 1.0)
-    if np.any(off > 1e-6):
-        bad = int(np.argmax(off > 1e-6)) + 1
-        raise IngestionError(
-            f"point at row {bad} is off the unit sphere by {off.max():.3e}", row=bad)
-    pts = pts / norms[:, None]
-    return SampledCurve(ts, pts, Manifold.sphere2())
+    lines = range(1, len(data) + 1)
+    _check_grid(data[:, 0], lines)
+    return SampledCurve(data[:, 0], _unit_points(data[:, 1:], lines), Manifold.sphere2())
 
 
 def read_curve_csv(path) -> SampledCurve:
     """Read the documented CSV format (header t,x,y,z) into a SampledCurve."""
-    return load_sampled(read_points_csv(path)[0])
+    rows, points, lines = read_points_csv(path)
+    _check_grid(rows[:, 0], lines)
+    return SampledCurve(rows[:, 0], points, Manifold.sphere2())
 
 
 def read_points_csv(path):
-    """Parse a t,x,y,z CSV; returns (rows, points) without uniformity checks.
+    """Parse a t,x,y,z CSV; returns (rows, points, lines) without
+    uniformity checks: the (n, 4) array of rows, the points renormalized
+    and each row's data line. Errors name the offending data line,
+    counted after the header with blank lines included.
 
     Used directly by the cap-center command, where the times are
     irrelevant and the cloud need not be a uniform curve sample.
     """
-    rows = []
+    rows, lines = [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -583,19 +600,13 @@ def read_points_csv(path):
                 if not all(map(math.isfinite, vals)):
                     raise IngestionError(f"row {lineno}: non-finite value", row=lineno)
                 rows.append(vals)
+                lines.append(lineno)
         except UnicodeDecodeError as exc:
             raise IngestionError(f"CSV is not UTF-8 text: {exc}")
     if not rows:
         raise IngestionError("CSV contains no data rows")
     data = np.asarray(rows, dtype=float)
-    pts = data[:, 1:]
-    norms = np.linalg.norm(pts, axis=1)
-    off = np.abs(norms - 1.0)
-    if np.any(off > 1e-6):
-        bad = int(np.argmax(off > 1e-6)) + 1
-        raise IngestionError(f"point at row {bad} is off the unit sphere by {off.max():.3e}",
-                             row=bad)
-    return rows, pts / norms[:, None]
+    return data, _unit_points(data[:, 1:], lines), lines
 
 
 # ---------------------------------------------------------------------------

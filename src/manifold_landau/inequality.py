@@ -14,6 +14,7 @@ window; for periodic curves one period is exact.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -53,43 +54,12 @@ class LandauConstant:
     residual: float
 
 
-_CONSTANT_CACHE = None
-
-
+@cache
 def landau_constant() -> LandauConstant:
-    """Safeguarded Newton on [1, 2] from start 2.0 for z^3 - 3z - 1."""
-    global _CONSTANT_CACHE
-    if _CONSTANT_CACHE is not None:
-        return _CONSTANT_CACHE
-
-    def f(z):
-        return z * z * z - 3.0 * z - 1.0
-
-    lo, hi = 1.0, 2.0
-    z = 2.0
-    best, best_f = z, abs(f(z))
-    for _ in range(100):
-        fz = f(z)
-        if abs(fz) < best_f:
-            best, best_f = z, abs(fz)
-        if fz > 0.0:
-            hi = z
-        else:
-            lo = z
-        dfz = 3.0 * z * z - 3.0
-        step_ok = dfz != 0.0
-        if step_ok:
-            z_new = z - fz / dfz
-            step_ok = lo < z_new < hi
-        if not step_ok:
-            z_new = 0.5 * (lo + hi)
-        if z_new == z:
-            break
-        z = z_new
-    if abs(f(z)) < best_f:
-        best = z
-    _CONSTANT_CACHE = LandauConstant(C=best, residual=f(best))
-    return _CONSTANT_CACHE
+    """C = 2 cos(pi/9): cos(3a) = 4 cos^3 a - 3 cos a at a = pi/9 gives
+    C^3 - 3C = 2 cos(pi/3) = 1."""
+    C = 2.0 * math.cos(math.pi / 9.0)
+    return LandauConstant(C=C, residual=C * C * C - 3.0 * C - 1.0)
 
 
 @dataclass(frozen=True)

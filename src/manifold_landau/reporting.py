@@ -1,7 +1,8 @@
 """Report documents: JSON (schema-validated) and CSV time series.
 
 Every CLI command emits the same top-level document shape: tool version,
-command name, optional seed, notes, and a command-specific report body.
+command name, optional seed, notes (always empty: a report carries its
+own) and a command-specific report body.
 Non-finite floats serialize as null so the documents stay valid JSON;
 the convention is recorded in the schema description.
 """
@@ -50,12 +51,12 @@ def to_jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def build_document(command: str, report, seed=None, notes=()) -> dict:
+def build_document(command: str, report, seed=None) -> dict:
     doc = {
         "tool_version": __version__,
         "command": command,
         "seed": seed,
-        "notes": [str(n) for n in notes],
+        "notes": [],
         "report": to_jsonable(report),
     }
     validate_document(doc)

@@ -21,6 +21,7 @@ from manifold_landau.curves import (
     default_window,
     load_sampled,
     read_curve_csv,
+    read_points_csv,
     sup_norm,
 )
 from manifold_landau.errors import (
@@ -332,6 +333,37 @@ class TestSampled:
         path.write_text("time,x,y,z\n0,1,0,0\n", encoding="utf-8")
         with pytest.raises(IngestionError):
             read_curve_csv(path)
+
+    @staticmethod
+    def circle_csv(times, blank):
+        """Points of the unit circle at the times, with the data lines
+        numbered in blank left empty."""
+        rows = [f"{t!r},{math.cos(t)!r},{math.sin(t)!r},0.0" for t in times]
+        for lineno in sorted(blank):
+            rows.insert(lineno - 1, "")
+        return "\n".join(["t,x,y,z", *rows]) + "\n"
+
+    OFF_SPHERE = "t,x,y,z\n0,1,0,0\n\n1,0,1,0\n2,0,0,1\n3,1,0,0\n4,0,2,0\n5,0,1,0\n"
+
+    @pytest.mark.parametrize("reader, text, message, row", [
+        (read_points_csv, OFF_SPHERE, "point at row 6 is off the unit sphere by 1.000e+00", 6),
+        (read_curve_csv, OFF_SPHERE, "point at row 6 is off the unit sphere by 1.000e+00", 6),
+        # a step of 0.11 on data line 6, after the blank line 2
+        (read_curve_csv, circle_csv([0.0, 0.1, 0.2, 0.3, 0.41, 0.5, 0.6], {2}),
+         "non-uniform grid at row 6: step deviates by 1.000e-01 relative", 6),
+        # t = 0.5 again on data line 8, after the blank line 2
+        (read_curve_csv, circle_csv([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.5], {2}),
+         "times must be strictly increasing; violated at row 8", 8),
+    ], ids=["points-off-sphere", "curve-off-sphere", "curve-non-uniform", "curve-repeated-t"])
+    def test_csv_errors_name_the_data_line(self, tmp_path, reader, text, message, row):
+        """Rows are data lines after the header, blank lines included, in
+        every ingestion error."""
+        path = tmp_path / "curve.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestionError) as err:
+            reader(path)
+        assert str(err.value) == message
+        assert err.value.row == row
 
     @staticmethod
     def pointwise_jets(curve, t):

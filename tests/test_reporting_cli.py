@@ -16,6 +16,7 @@ import manifold_landau
 from manifold_landau import reporting
 from manifold_landau.cli import main
 from manifold_landau.curves import (
+    PHASE_KINDS,
     GreatCircle,
     Latitude,
     LinearPhase,
@@ -405,6 +406,106 @@ class TestFileErrors:
         path.write_text("t,x,y,z\n0.0,0,0,1\n0.1,nan,0,1\n0.2,1,0,0\n", encoding="utf-8")
         assert main(["chebyshev", str(path)]) == 1
         assert "row 2" in capsys.readouterr().err
+
+
+def _axes_csv(tmp_path):
+    """The six unit axis points: no open hemisphere holds them, so the cap
+    comes with a warning."""
+    path = tmp_path / "axes.csv"
+    path.write_text("t,x,y,z\n0,1,0,0\n1,-1,0,0\n2,0,1,0\n3,0,-1,0\n4,0,0,1\n5,0,0,-1\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+BOUND_LABELS = ["window", "sup |x'|", "r0 = sup |grad U|", "r2 = sup |D x'|", "lambda", "sup U",
+                "lhs  |x'|^2", "rhs  C^2 r0 r2/l"]
+BOUND_TAIL_LABELS = ["slack lhs/rhs", "hypotheses_ok", "satisfied"]
+CAP_LABELS = ["cap center e", "min <e, x(t)>"]
+EXPONENT_NOTE = ("note: sphere bound applied to the squared velocity sup norm, consistent "
+                 "with the general bound's derivation")
+VIOLATED_NOTE = "note: hypotheses violated: the bound makes no claim on this curve"
+WORST = "  worst t / margin"
+
+
+class TestTextLayout:
+    """The text form of every command: its labels in order, the one column
+    where all values start, and the note:/warning: lines after them."""
+
+    @pytest.mark.parametrize("make_argv, code, labels, column, tail", [
+        (lambda d: ["constant"], 0, ["C", "residual"], 10, []),
+        (lambda d: ["check", write_spec(d, LAT_SPEC)], 0,
+         BOUND_LABELS + BOUND_TAIL_LABELS, 19, []),
+        (lambda d: ["check", write_spec(d, COUNTER_SPEC)], 2,
+         BOUND_LABELS + ["rhs (relaxed)"] + BOUND_TAIL_LABELS + CAP_LABELS, 19,
+         [VIOLATED_NOTE, EXPONENT_NOTE]),
+        (lambda d: ["diagnose", write_spec(d, LAT_SPEC)], 0,
+         ["v bound ok", WORST, "speed slope ok", WORST, "chain ok", WORST], 20, []),
+        (lambda d: ["chebyshev", _axes_csv(d)], 0,
+         ["points", "cap center e", "min inner product", "chordal radius", "converged"], 19,
+         ["warning: cloud is not contained in an open hemisphere; minimizer may be non-unique"]),
+        (lambda d: ["counterexample", "--T", "3", "--samples", "201"], 0,
+         BOUND_LABELS + ["rhs (relaxed)"] + BOUND_TAIL_LABELS + CAP_LABELS, 19,
+         [VIOLATED_NOTE, EXPONENT_NOTE, "note: counterexample family: speed sup grows like T "
+          "while the covariant acceleration sup stays 1"]),
+        (lambda d: ["probe", "--family", "latitude", "--budget", "3"], 0,
+         ["family", "best Q", "sqrt(Q)", "ceiling C^2", "evaluations", "skipped"], 13, []),
+        (lambda d: ["classical", write_spec(d, SINE_SPEC)], 0,
+         ["sup |f|", "sup |f'|", "sup |f''|", "lhs |f'|^2", "rhs 2|f| |f''|", "slack lhs/rhs",
+          "satisfied"], 18,
+         ["note: Banach-space-valued analogue holds with constant 4 (not checked)"]),
+    ], ids=["constant", "check", "check-violated", "diagnose", "chebyshev", "counterexample",
+            "probe", "classical"])
+    def test_labels_column_and_notes(self, tmp_path, capsys, make_argv, code, labels, column,
+                                     tail):
+        assert main(make_argv(tmp_path)) == code
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert not captured.err
+        rows, notes = lines[:len(labels)], lines[len(labels):]
+        assert [row[:column].rstrip() for row in rows] == labels
+        assert all(row[column - 2:column] == "  " and row[column] != " " for row in rows), rows
+        assert notes == tail
+
+
+PHASE_FIELDS = {  # kind: (required fields, optional fields), as in the README
+    "linear": (["omega"], ["phi"]),
+    "quadratic": (["alpha"], ["omega"]),
+    "sinusoidal": (["amp", "omega"], ["drift"]),
+}
+
+
+def _phase_cases():
+    """(phase object, error message) for each field of each phase kind
+    missing and not a number, for an unknown key and for a bad kind."""
+    for kind, (required, optional) in PHASE_FIELDS.items():
+        full = {"kind": kind, **{f: 0.5 for f in required + optional}}
+        for f in required:
+            yield pytest.param({k: v for k, v in full.items() if k != f},
+                               f"missing key 'params.phase.{f}'", id=f"{kind}-missing-{f}")
+        for f in required + optional:
+            yield pytest.param({**full, f: "1.0"}, f"'params.phase.{f}' must be a number",
+                               id=f"{kind}-non-number-{f}")
+        yield pytest.param({**full, "omgea": 1.0}, "unknown key 'params.phase.omgea'",
+                           id=f"{kind}-unknown-key")
+    for name, bad in (("unknown", "cubic"), ("list", ["linear"]), ("null", None)):
+        yield pytest.param({"kind": bad, "omega": 1.0},
+                           "'params.phase.kind' must be linear, quadratic or sinusoidal",
+                           id=f"kind-{name}")
+    yield pytest.param({"omega": 1.0}, "missing key 'params.phase.kind'", id="kind-missing")
+
+
+class TestPhaseSpecErrors:
+    """A malformed phase exits 1 with one line naming params.phase.<field>."""
+
+    def test_cases_cover_every_phase_kind(self):
+        assert set(PHASE_FIELDS) == set(PHASE_KINDS)
+
+    @pytest.mark.parametrize("phase, message", _phase_cases())
+    def test_exits_1_naming_the_field(self, tmp_path, capsys, phase, message):
+        spec = {"family": "latitude", "params": {"colatitude": 0.7, "phase": phase}}
+        assert main(["check", write_spec(tmp_path, spec)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"spec error: {message}\n")
 
 
 def _exit_code(argv):
