@@ -100,7 +100,13 @@ def _need(obj: dict, key: str, path: str):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecValidationError(f"'{path}' must be a number", key=path)
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):  # json reads 1e400, Infinity and NaN as floats
+        raise SpecValidationError(f"'{path}' must be a finite number", key=path)
+    return x
 
 
 def _vector3(value, path):
@@ -306,12 +312,12 @@ def _check_exit(rep) -> int:
 
 def _emit(args, command, body, text, csv, seed=None, notes=()):
     """Print one command's output: the JSON document of body, the table
-    csv() returns, or the key-value rows text() returns followed by the
-    lines in notes. Only the chosen form is built."""
+    csv(fp) writes to fp, or the key-value rows text() returns followed by
+    the lines in notes. Only the chosen form is built."""
     if args.json:
         print(emit_json(build_document(command, body, seed=seed)))
     elif args.csv:
-        sys.stdout.write(csv())
+        csv(sys.stdout)
     else:
         _print_kv(text())
         for line in notes:
@@ -326,7 +332,7 @@ def _cmd_constant(args) -> int:
     lc = landau_constant()
     _emit(args, "constant", lc,
           lambda: [("C", f"{lc.C:.{args.digits}f}"), ("residual", _fmt(lc.residual, 3))],
-          lambda: constant_table(lc))
+          lambda fp: constant_table(lc, fp))
     return EXIT_OK
 
 
@@ -350,7 +356,7 @@ def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
     curve, window, jets, U, rep = _bound_report(spec)
     _emit(args, "check", rep, lambda: _bound_report_text(rep),
-          lambda: curve_time_series(curve, window, aux=U, jets=jets),
+          lambda fp: curve_time_series(curve, window, fp, aux=U, jets=jets),
           seed=spec.get("seed"), notes=[f"note: {n}" for n in rep.notes])
     return _check_exit(rep)
 
@@ -370,7 +376,8 @@ def _cmd_diagnose(args) -> int:
         ("  worst t / margin", f"{_fmt(diag.speed_worst_t)} / {_fmt(diag.speed_margin, 3)}"),
         ("chain ok          ", str(diag.chain_ok)),
         ("  worst t / margin", f"{_fmt(diag.chain_worst_t)} / {_fmt(diag.chain_margin, 3)}"),
-    ], lambda: curve_time_series(curve, window, aux=U, jets=jets), seed=spec.get("seed"))
+    ], lambda fp: curve_time_series(curve, window, fp, aux=U, jets=jets),
+          seed=spec.get("seed"))
     ok = diag.v_bound_ok and diag.speed_lipschitz_ok and diag.chain_ok
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -384,7 +391,7 @@ def _cmd_chebyshev(args) -> int:
         ("min inner product", _fmt(cap.min_inner_product)),
         ("chordal radius   ", _fmt(cap.minimax_chordal_radius)),
         ("converged        ", str(cap.converged)),
-    ], lambda: cap_point_table(points, cap),
+    ], lambda fp: cap_point_table(points, cap, fp),
           notes=[f"warning: {cap.warning}"] if cap.warning else ())
     return EXIT_OK
 
@@ -394,8 +401,8 @@ def _cmd_counterexample(args) -> int:
     jets = curve_jets(curve, counterexample_window(args.T, args.samples))
     rep = counterexample_report(T=args.T, samples=args.samples, jets=jets)
     _emit(args, "counterexample", rep, lambda: _bound_report_text(rep),
-          lambda: curve_time_series(curve, rep.window, aux=ChordalHalfSquare(rep.cap.e),
-                                    jets=jets),
+          lambda fp: curve_time_series(curve, rep.window, fp,
+                                       aux=ChordalHalfSquare(rep.cap.e), jets=jets),
           notes=[f"note: {n}" for n in rep.notes])
     return EXIT_OK
 
@@ -409,7 +416,7 @@ def _cmd_probe(args) -> int:
         ("ceiling C^2", _fmt(result.q_upper)),
         ("evaluations", str(result.evaluations)),
         ("skipped    ", str(result.skipped)),
-    ], lambda: probe_table(result), seed=args.seed)
+    ], lambda fp: probe_table(result, fp), seed=args.seed)
     return EXIT_OK
 
 
@@ -430,7 +437,7 @@ def _cmd_classical(args) -> int:
         ("rhs 2|f| |f''|  ", _fmt(rep.rhs)),
         ("slack lhs/rhs   ", _fmt(rep.slack_ratio)),
         ("satisfied       ", str(rep.satisfied)),
-    ], lambda: scalar_time_series(curve, window, jets=jets),
+    ], lambda fp: scalar_time_series(curve, window, fp, jets=jets),
           seed=spec.get("seed"), notes=[f"note: {n}" for n in rep.notes])
     return EXIT_OK if rep.satisfied else EXIT_VIOLATION
 

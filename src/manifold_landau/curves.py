@@ -521,12 +521,14 @@ def _check_grid(ts, lines) -> None:
     step jitter; an error names time i by its row, lines[i]."""
     if len(ts) < 5:
         raise IngestionError(f"need at least 5 rows, got {len(ts)}", row=len(ts))
-    steps = np.diff(ts)
+    with np.errstate(all="ignore"):  # a span past the float range: inf steps, nan jitter
+        steps = np.diff(ts)
+        nominal = (ts[-1] - ts[0]) / (len(ts) - 1)
+        jitter = np.abs(steps - nominal) / nominal
     if np.any(steps <= 0):
         bad = lines[int(np.argwhere(steps <= 0)[0, 0]) + 1]
         raise IngestionError(f"times must be strictly increasing; violated at row {bad}", row=bad)
-    nominal = (ts[-1] - ts[0]) / (len(ts) - 1)
-    jitter = np.abs(steps - nominal) / nominal
+    jitter[np.isnan(jitter)] = np.inf  # no uniform grid spans past the float range
     if np.any(jitter > 1e-9):
         bad = lines[int(np.argmax(jitter > 1e-9)) + 1]
         raise IngestionError(
@@ -537,7 +539,8 @@ def _check_grid(ts, lines) -> None:
 def _unit_points(pts, lines):
     """The points renormalized, each within 1e-6 of unit norm; an error
     names point i by its row, lines[i]."""
-    norms = np.linalg.norm(pts, axis=1)
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        norms = np.linalg.norm(pts, axis=1)
     off = np.abs(norms - 1.0)
     if np.any(off > 1e-6):
         bad = lines[int(np.argmax(off > 1e-6))]

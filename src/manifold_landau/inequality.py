@@ -13,6 +13,7 @@ window; for periodic curves one period is exact.
 """
 
 import math
+import pickle
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -466,11 +467,19 @@ def sharpness_probe(family: str, budget: int, seed: int = 42) -> ProbeResult:
     skipped = 0
     best_q = -math.inf
     best_params = None
+    # Q of each candidate curve, keyed on its pickle, which keeps every
+    # float exact: the polish's first simplex vertex repeats the best
+    # candidate, and build_curve rounds a moved frequency back
+    q_of = {}
 
     def consider(params):
         nonlocal evaluations, skipped, best_q, best_params
         try:
-            q, _ = probe_q(build_curve(family, params))
+            curve = build_curve(family, params)
+            key = pickle.dumps(curve)
+            if key not in q_of:
+                q_of[key] = probe_q(curve)[0]
+            q = q_of[key]
         except (InvalidInputError, NumericFailureError):
             q = None
         evaluations += 1

@@ -12,7 +12,6 @@ import math
 from dataclasses import fields, is_dataclass
 from functools import cache
 from importlib import resources
-from itertools import chain
 
 import numpy as np
 
@@ -89,24 +88,33 @@ def parse_document(text: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # CSV emission. Every field is a float repr, an int or a fixed identifier,
-# so none ever needs RFC-4180 quoting: rows are joined as they are.
+# so none ever needs RFC-4180 quoting: rows are joined as they are. A table
+# is written to the stream it is given, as json.dump does, CSV_BLOCK rows
+# at a time: its columns are computed first, so an error never leaves a
+# truncated table, and then at most one block of floats and row strings
+# exists at a time.
+
+CSV_BLOCK = 4096  # rows formatted per write: about 0.4 MB of text
 
 
-def _csv_text(header, rows) -> str:
-    """CRLF-terminated CSV of string fields; rows is consumed lazily, so
-    only one row's fields exist at a time."""
-    return "\r\n".join(map(",".join, chain([header], rows))) + "\r\n"
+def _write_rows(fp, rows) -> None:
+    """Write rows of string fields as CRLF-terminated CSV lines."""
+    fp.write("".join([",".join(row) + "\r\n" for row in rows]))
 
 
-def _columns_csv(header, cols) -> str:
-    return _csv_text(header, zip(*[map(repr, col.tolist()) for col in cols]))
+def _write_columns(fp, header, cols) -> None:
+    """Write the header, then the rows of equal-length float columns in
+    blocks of CSV_BLOCK, each field the float's repr."""
+    _write_rows(fp, [header])
+    for lo in range(0, len(cols[0]), CSV_BLOCK):
+        _write_rows(fp, zip(*[map(repr, col[lo:lo + CSV_BLOCK].tolist()) for col in cols]))
 
 
-def curve_time_series(curve, window: TimeWindow, aux=None,
-                      jets: JetTable | None = None) -> str:
-    """Time series for plotting: t, speed, covariant acceleration norm,
-    and (when an auxiliary function is supplied) v = <grad U o x, x'>
-    and U o x."""
+def curve_time_series(curve, window: TimeWindow, fp, aux=None,
+                      jets: JetTable | None = None) -> None:
+    """Write the time series for plotting to fp: t, speed, covariant
+    acceleration norm, and (when an auxiliary function is supplied)
+    v = <grad U o x, x'> and U o x."""
     jets = curve_jets(curve, window) if jets is None else jets
     ts, X, Xd, _ = jets
     cols = [ts, np.linalg.norm(Xd, axis=1),
@@ -116,33 +124,32 @@ def curve_time_series(curve, window: TimeWindow, aux=None,
         v = np.einsum("ni,ni->n", aux.gradient_batch(X), Xd)
         cols += [v, aux.value_batch(X)]
         header += ["v", "aux_value"]
-    return _columns_csv(header, cols)
+    _write_columns(fp, header, cols)
 
 
-def scalar_time_series(curve, window: TimeWindow, jets: JetTable | None = None) -> str:
-    """Scalar-curve series: t, f, f', f''."""
+def scalar_time_series(curve, window: TimeWindow, fp, jets: JetTable | None = None) -> None:
+    """Write the scalar-curve series to fp: t, f, f', f''."""
     jets = curve_jets(curve, window) if jets is None else jets
-    return _columns_csv(["t", "f", "fprime", "fsecond"],
-                        [jets.ts, jets.X[:, 0], jets.Xd[:, 0], jets.Xdd[:, 0]])
+    _write_columns(fp, ["t", "f", "fprime", "fsecond"],
+                   [jets.ts, jets.X[:, 0], jets.Xd[:, 0], jets.Xdd[:, 0]])
 
 
-def cap_point_table(points: np.ndarray, cap) -> str:
-    """Per-point view of a cap-center solution: inner product with the
-    center and chordal distance."""
+def cap_point_table(points: np.ndarray, cap, fp) -> None:
+    """Write the per-point view of a cap-center solution to fp: inner
+    product with the center and chordal distance."""
     dots = points @ cap.e.coords
     chord = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots))
-    return _columns_csv(["x", "y", "z", "inner_product", "chordal_distance"],
-                        [*points.T, dots, chord])
+    _write_columns(fp, ["x", "y", "z", "inner_product", "chordal_distance"],
+                   [*points.T, dots, chord])
 
 
-def probe_table(result) -> str:
-    rows = [(result.family, repr(result.best_q), repr(result.best_sqrt_q),
-             repr(result.q_upper), str(result.evaluations), str(result.skipped),
-             str(result.budget), str(result.seed))]
-    return _csv_text(
-        ["family", "best_q", "best_sqrt_q", "q_upper", "evaluations",
-         "skipped", "budget", "seed"], rows)
+def probe_table(result, fp) -> None:
+    _write_rows(fp, [
+        ["family", "best_q", "best_sqrt_q", "q_upper", "evaluations", "skipped", "budget",
+         "seed"],
+        [result.family, repr(result.best_q), repr(result.best_sqrt_q), repr(result.q_upper),
+         str(result.evaluations), str(result.skipped), str(result.budget), str(result.seed)]])
 
 
-def constant_table(lc) -> str:
-    return _csv_text(["C", "residual"], [(repr(lc.C), repr(lc.residual))])
+def constant_table(lc, fp) -> None:
+    _write_rows(fp, [["C", "residual"], [repr(lc.C), repr(lc.residual)]])

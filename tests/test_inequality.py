@@ -253,6 +253,40 @@ class TestProbe:
         q, rep = probe_q(counterexample_curve(), samples=257)
         assert q is None and not rep.hypotheses_ok
 
+    @staticmethod
+    def curve_numbers(curve):
+        """Every number a probe candidate is built from, as exact floats."""
+        if isinstance(curve, SphericalCompound):
+            return tuple((*f.axis.tolist(), f.phase.amp, f.phase.omega) for f in curve.frames)
+        if isinstance(curve, Latitude):
+            return (curve.colatitude,)
+        return (curve.phase.amp, curve.phase.omega)
+
+    @pytest.mark.parametrize("family, seed, repeats", [
+        ("compound", 0, 4), ("compound", 42, 3), ("great_circle", 3, 7), ("latitude", 0, 12)])
+    def test_each_candidate_curve_is_evaluated_once(self, monkeypatch, family, seed, repeats):
+        """The polish repeats the best candidate as its first vertex, and
+        build_curve rounds a frequency moved by 5% back to its integer: a
+        curve already evaluated is counted again but not run again."""
+        real_build, real_q = inequality.build_curve, inequality.probe_q
+        built, evaluated = [], []
+
+        def build(fam, params):
+            built.append(real_build(fam, params))
+            return built[-1]
+
+        def q_of(curve):
+            evaluated.append(curve)
+            return real_q(curve)
+
+        monkeypatch.setattr(inequality, "build_curve", build)
+        monkeypatch.setattr(inequality, "probe_q", q_of)
+        res = sharpness_probe(family, budget=30, seed=seed)
+        distinct = {self.curve_numbers(c) for c in built}
+        assert res.evaluations == len(built)
+        assert len(evaluated) == len(distinct) == len(built) - repeats
+        assert {self.curve_numbers(c) for c in evaluated} == distinct
+
 
 def scipy_nelder_mead(f, x0, maxfev, xatol, fatol):
     minimize(f, x0, method="Nelder-Mead",

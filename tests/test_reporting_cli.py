@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
+import warnings
 
 import jsonschema
 import numpy as np
@@ -105,9 +108,10 @@ class TestDocuments:
         curve = Latitude(math.pi / 4, LinearPhase(1.0))
         from manifold_landau.auxfun import ChordalHalfSquare
         from manifold_landau.geometry import SurfacePoint
-        text = curve_time_series(curve, TimeWindow(0.0, 1.0, 8),
-                                 aux=ChordalHalfSquare(SurfacePoint([0, 0, 1.0])))
-        rows = list(csv.reader(io.StringIO(text)))
+        buf = io.StringIO()
+        curve_time_series(curve, TimeWindow(0.0, 1.0, 8), buf,
+                          aux=ChordalHalfSquare(SurfacePoint([0, 0, 1.0])))
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert rows[0] == ["t", "speed", "covariant_accel_norm", "v", "aux_value"]
         assert len(rows) == 9
         parsed = np.array([[float(v) for v in r] for r in rows[1:]])
@@ -266,13 +270,9 @@ class TestCliOutputs:
         assert rows[0] == ["t", "f", "fprime", "fsecond"]
 
 
-def _csv_writer_text(header, rows):
+def _csv_writer_rows(fp, rows):
     """The csv module's RFC-4180 writer: the reference for reporting's CSV."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    csv.writer(fp).writerows(rows)
 
 
 SPECFILES = pathlib.Path(__file__).resolve().parent.parent / "specfiles"
@@ -296,10 +296,61 @@ class TestCsvText:
         argv = [str(SPECFILES / a) if a.endswith(".json") else a for a in argv] + ["--csv"]
         code = main(argv)
         joined = capsys.readouterr().out
-        monkeypatch.setattr(reporting, "_csv_text", _csv_writer_text)
+        monkeypatch.setattr(reporting, "_write_rows", _csv_writer_rows)
         assert main(argv) == code
         assert capsys.readouterr().out == joined
         assert joined.count("\r\n") >= 2
+
+    @pytest.mark.parametrize("rows", [
+        1, reporting.CSV_BLOCK - 1, reporting.CSV_BLOCK, reporting.CSV_BLOCK + 1,
+        2 * reporting.CSV_BLOCK + 1])
+    def test_blocks_match_csv_writer(self, rows):
+        rng = np.random.default_rng(rows)
+        cols = [rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows),
+                np.arange(rows, dtype=float), np.full(rows, -0.0)]
+        streamed = io.StringIO()
+        reporting._write_columns(streamed, ["a", "b", "c"], cols)
+        rows_of_floats = zip(*(col.tolist() for col in cols))
+        reference = io.StringIO()
+        _csv_writer_rows(reference, [["a", "b", "c"], *(map(repr, row) for row in rows_of_floats)])
+        assert streamed.getvalue() == reference.getvalue()
+        assert streamed.getvalue().count("\r\n") == rows + 1
+
+
+class _Chunks:
+    """A stdout that keeps what is written as the written strings."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+
+class TestCsvMemory:
+    """A dense --csv table is streamed: beyond the text it writes, it
+    holds no more than the --json document of the same spec."""
+
+    def _peak(self, argv):
+        out = _Chunks()
+        with contextlib.redirect_stdout(out):
+            main(argv)  # warm: imports, the schema validator
+            out.chunks.clear()
+            tracemalloc.start()
+            try:
+                main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return peak, sum(map(len, out.chunks))
+
+    def test_dense_check_csv_peak(self, tmp_path):
+        path = write_spec(tmp_path, COMPOUND_SPEC)
+        json_peak, _ = self._peak(["check", path, "--json"])
+        csv_peak, written = self._peak(["check", path, "--csv"])
+        assert written > 3_000_000  # 40001 rows of 5 floats
+        assert csv_peak - written <= json_peak + 1_000_000, (csv_peak, written, json_peak)
 
 
 class TestWorkers:
@@ -406,6 +457,51 @@ class TestFileErrors:
         path.write_text("t,x,y,z\n0.0,0,0,1\n0.1,nan,0,1\n0.2,1,0,0\n", encoding="utf-8")
         assert main(["chebyshev", str(path)]) == 1
         assert "row 2" in capsys.readouterr().err
+
+
+def _one_error_line(argv):
+    """Run argv in process: (exit code, stdout, stderr), with every
+    warning recorded; a warning would be a second stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNonFiniteInputs:
+    """Numbers past the float range exit 1 with one line naming the key or
+    row, before numpy can warn about them."""
+
+    @pytest.mark.parametrize("phase, key", [
+        ('{"kind": "linear", "omega": 1e400}', "params.phase.omega"),
+        ('{"kind": "sinusoidal", "amp": Infinity, "omega": 1.0}', "params.phase.amp"),
+        ('{"kind": "sinusoidal", "amp": 0.5, "omega": NaN}', "params.phase.omega"),
+        ('{"kind": "linear", "omega": -Infinity}', "params.phase.omega"),
+        ('{"kind": "linear", "omega": 1' + "0" * 400 + "}", "params.phase.omega"),
+    ], ids=["1e400", "Infinity", "NaN", "-Infinity", "huge-integer"])
+    def test_spec_number_must_be_finite(self, tmp_path, phase, key):
+        path = tmp_path / "spec.json"
+        path.write_text('{"family": "latitude", "params": {"colatitude": 0.7, "phase": '
+                        + phase + "}}", encoding="utf-8")
+        assert _one_error_line(["check", str(path)]) == (
+            1, "", f"spec error: '{key}' must be a finite number\n")
+
+    def test_overflowing_time_span_is_not_a_uniform_grid(self, tmp_path):
+        csv_path = tmp_path / "curve.csv"
+        csv_path.write_text("t,x,y,z\n" + "".join(
+            f"{t},0,0,1\n" for t in ("-1e308", "0", "1e308", "1.5e308", "1.7e308")),
+            encoding="utf-8")
+        assert _one_error_line(["check", _sampled_spec(tmp_path, str(csv_path))]) == (
+            1, "", "error: non-uniform grid at row 2: step deviates by inf relative\n")
+
+    def test_point_norm_past_the_float_range(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("t,x,y,z\n0,1e300,0,0\n", encoding="utf-8")
+        assert _one_error_line(["chebyshev", str(path)]) == (
+            1, "", "error: point at row 1 is off the unit sphere by inf\n")
 
 
 def _axes_csv(tmp_path):
