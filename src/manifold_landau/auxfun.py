@@ -271,10 +271,10 @@ def hessian_quadratic_fd(U: AuxFunction, x: np.ndarray, y: np.ndarray) -> float:
     return (4.0 * second_diff(HESSIAN_FD_STEP / 2.0) - second_diff(HESSIAN_FD_STEP)) / 3.0
 
 
-def closed_form_lambda(U: AuxFunction, curve, est: SupEstimate) -> LambdaEstimate:
+def closed_form_lambda(U: AuxFunction, x: np.ndarray, est: SupEstimate) -> LambdaEstimate:
     """LambdaEstimate from a min scan of the "aux_unit_hessian_min" quantity,
-    with a unit tangent attaining the minimum at the scan's argmin."""
-    x = curve.evaluate(est.argmax_t).x
+    with a unit tangent attaining the minimum at x, the curve's point at
+    the scan's argmin."""
     direction = U.unit_hessian_argmin(x)
     if U.manifold.is_sphere:
         direction = project_tangent(SurfacePoint(x), direction)
@@ -288,7 +288,7 @@ def lambda_min(U: AuxFunction, curve, window: TimeWindow,
     along the curve: a refined min scan of the closed-form minimum."""
     spec = Quantity("aux_unit_hessian_min", aux=U, mode="min")
     est, = scan_extremum(curve, window, [spec], jets=jets)
-    return closed_form_lambda(U, curve, est)
+    return closed_form_lambda(U, curve.evaluate(est.argmax_t).x, est)
 
 
 def _point_coords(U, x):

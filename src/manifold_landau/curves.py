@@ -41,17 +41,32 @@ PERIOD_MAX_MULTIPLE = 64  # combine_periods: multiples of the running period tri
 # phase functions: the closed set of time laws used by the analytic families
 
 
+class Phase:
+    """A time law theta(t). Each kind lists the Python floats its jets are
+    built from (`coefficients`) and evaluates them with `jets_of`, whose
+    coefficients may also be (B, 1) columns over a (B, n) table of times:
+    that is how a PhaseStack evaluates B phases of one kind at once, with
+    the same float operations as each phase alone."""
+
+    def jets(self, t):
+        """(theta, theta', theta'') at the times t."""
+        return self.jets_of(np.asarray(t, dtype=float), *self.coefficients)
+
+
 @dataclass(frozen=True)
-class LinearPhase:
+class LinearPhase(Phase):
     """theta(t) = omega t + phi"""
 
     omega: float
     phi: float = 0.0
 
-    def jets(self, t):
-        """(theta, theta', theta'') at the times t."""
-        t = np.asarray(t, dtype=float)
-        return self.omega * t + self.phi, np.full_like(t, self.omega), np.zeros_like(t)
+    @property
+    def coefficients(self):
+        return self.omega, self.phi
+
+    @staticmethod
+    def jets_of(t, omega, phi):
+        return omega * t + phi, np.full_like(t, omega), np.zeros_like(t)
 
     @property
     def is_constant(self):
@@ -67,16 +82,19 @@ class LinearPhase:
 
 
 @dataclass(frozen=True)
-class QuadraticPhase:
+class QuadraticPhase(Phase):
     """theta(t) = alpha t^2 / 2 + omega t"""
 
     alpha: float
     omega: float = 0.0
 
-    def jets(self, t):
-        t = np.asarray(t, dtype=float)
-        return (0.5 * self.alpha * t * t + self.omega * t, self.alpha * t + self.omega,
-                np.full_like(t, self.alpha))
+    @property
+    def coefficients(self):
+        return self.alpha, self.omega, 0.5 * self.alpha
+
+    @staticmethod
+    def jets_of(t, alpha, omega, half_alpha):
+        return half_alpha * t * t + omega * t, alpha * t + omega, np.full_like(t, alpha)
 
     @property
     def is_constant(self):
@@ -92,19 +110,23 @@ class QuadraticPhase:
 
 
 @dataclass(frozen=True)
-class SinusoidalPhase:
+class SinusoidalPhase(Phase):
     """theta(t) = amp sin(omega t) + drift t"""
 
     amp: float
     omega: float
     drift: float = 0.0
 
-    def jets(self, t):
-        t = np.asarray(t, dtype=float)
-        wt = self.omega * t
+    @property
+    def coefficients(self):
+        # in Python floats: libm's omega ** 2 and numpy's square of a column can differ
+        return self.amp, self.omega, self.drift, self.amp * self.omega, -self.amp * self.omega ** 2
+
+    @staticmethod
+    def jets_of(t, amp, omega, drift, amp_omega, neg_amp_omega2):
+        wt = omega * t
         s = np.sin(wt)
-        return (self.amp * s + self.drift * t, self.amp * self.omega * np.cos(wt) + self.drift,
-                -self.amp * self.omega ** 2 * s)
+        return amp * s + drift * t, amp_omega * np.cos(wt) + drift, neg_amp_omega2 * s
 
     @property
     def is_constant(self):
@@ -121,6 +143,22 @@ class SinusoidalPhase:
         if self.drift == 0.0:
             return TWO_PI / abs(self.omega)
         return None
+
+
+class PhaseStack(NamedTuple):
+    """B phases of one kind: jets(t) maps a (B, n) table of times to three
+    (B, n) tables, row b by phase b."""
+
+    kind: type
+    columns: tuple  # one (B, 1) column per coefficient
+
+    @classmethod
+    def of(cls, phases):
+        return cls(type(phases[0]), tuple(np.array(c)[:, None]
+                                          for c in zip(*(p.coefficients for p in phases))))
+
+    def jets(self, t):
+        return self.kind.jets_of(t, *self.columns)
 
 
 PHASE_KINDS = {"linear": LinearPhase, "quadratic": QuadraticPhase, "sinusoidal": SinusoidalPhase}
@@ -250,7 +288,8 @@ class Curve:
 
 def _unit(v, name):
     v = as_vector(v, dim=3)
-    n = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        n = float(np.linalg.norm(v))
     if abs(n - 1.0) > 1e-9:
         raise InvalidCurveError(f"{name} must be a unit vector (norm {n!r})")
     return v
@@ -318,17 +357,68 @@ class Latitude(Curve):
 @dataclass(frozen=True)
 class RotatingFrame:
     """One factor of a compound curve: rotation about a fixed axis whose
-    angle follows a phase function."""
+    angle follows a phase function. K is the cross-product matrix of the
+    unit axis."""
 
     axis: np.ndarray
     phase: object
+    K: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = as_vector(self.axis, dim=3)
-        n = float(np.linalg.norm(k))
-        if n == 0.0:
-            raise InvalidCurveError("rotation axis must be nonzero")
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(k))
+        if not 1e-150 < n < 1e150:  # squares may over- or underflow: scale by the top entry first
+            top = float(np.max(np.abs(k)))
+            if top == 0.0:
+                raise InvalidCurveError("rotation axis must be nonzero")
+            k = k / top
+            n = float(np.linalg.norm(k))
         object.__setattr__(self, "axis", k / n)
+        object.__setattr__(self, "K", skew(self.axis))
+
+
+def _propagate(base, frames, ts):
+    """Jets of G compounds of one shape, each at its row of ts (G, n):
+    base (G, 3), frames innermost first as (K, phase) pairs with K the
+    (G, 1, 3, 3) stack of the members' cross-product matrices and phase a
+    PhaseStack (or, for G = 1, the phase itself). Returns the (3, G, n, 3)
+    array of (x, x', x'').
+
+    K commutes with R(th), so the jet of R(th) v is R(th) applied to
+    (v, v' + th' K v, v'' + th'' K v + th'^2 K^2 v + 2 th' K v'):
+    propagate the jets from the innermost frame out. Blocks of at most
+    JET_BLOCK samples, laid out (member, jet, coordinate, sample), are
+    rotated in place in three scratch buffers, so no temporary outgrows a
+    block. Each member's slice of every matrix product is the product a
+    lone member makes, so a member's jets do not depend on its stack."""
+    G, n = ts.shape
+    out = np.empty((3, G, n, 3))
+    # near-equal blocks: BLAS rounds a lone row differently from the same
+    # row inside a larger product, so no block may be a single row
+    blocks = max(1, -(-n // JET_BLOCK))
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    buffers = np.empty((3, G, 3, 3, -(-n // blocks)))  # (J, KJ, KKJ)
+    for lo, hi in zip(edges, edges[1:]):
+        J, KJ, KKJ = buffers[..., :hi - lo]
+        x, v, a, Kx, Kv, KKx = J[:, 0], J[:, 1], J[:, 2], KJ[:, 0], KJ[:, 1], KKJ[:, 0]
+        x[...] = base[:, :, None]
+        J[:, 1:] = 0.0
+        for K, phase in frames:
+            th, d1, d2 = phase.jets(ts[:, lo:hi])
+            th, d1, d2 = th[:, None, None], d1[:, None], d2[:, None]
+            np.matmul(K, J[:, :2], out=KJ[:, :2])
+            np.matmul(K[:, 0], Kx, out=KKx)
+            a += d2 * Kx + d1 * (d1 * KKx + 2.0 * Kv)
+            v += d1 * Kx
+            np.matmul(K, J, out=KJ)  # Rodrigues' rotation
+            np.matmul(K, KJ, out=KKJ)
+            KKJ *= 1.0 - np.cos(th)
+            KJ *= np.sin(th)
+            KJ += KKJ
+            J += KJ
+        out[:, :, lo:hi] = J.transpose(1, 0, 3, 2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -352,39 +442,11 @@ class SphericalCompound(Curve):
         object.__setattr__(self, "base", _unit(self.base, "base"))
 
     def batch(self, ts):
-        # K commutes with R(th), so the jet of R(th) v is R(th) applied to
-        # (v, v' + th' K v, v'' + th'' K v + th'^2 K^2 v + 2 th' K v'):
-        # propagate the jets from the innermost frame out. Blocks of at most
-        # JET_BLOCK samples, laid out (jet, coordinate, sample), are rotated
-        # in place in three scratch buffers, so no temporary outgrows a block.
+        # the one-member case of a CurveStack's pass over same-shape compounds
         ts = np.asarray(ts, dtype=float)
-        n = len(ts)
-        out = np.empty((3, n, 3))  # (x, x', x'') stacked
-        # near-equal blocks: BLAS rounds a lone row differently from the same
-        # row inside a larger product, so no block may be a single row
-        blocks = max(1, -(-n // JET_BLOCK))
-        edges = [n * i // blocks for i in range(blocks + 1)]
-        frames = [(fr.phase, skew(fr.axis)) for fr in reversed(self.frames)]
-        buffers = np.empty((3, 3, 3, -(-n // blocks)))  # (J, KJ, KKJ)
-        for lo, hi in zip(edges, edges[1:]):
-            t = ts[lo:hi]
-            J, KJ, KKJ = buffers[..., :hi - lo]
-            J[0] = self.base[:, None]
-            J[1:] = 0.0
-            for phase, K in frames:
-                th, d1, d2 = phase.jets(t)
-                np.matmul(K, J[:2], out=KJ[:2])
-                np.matmul(K, KJ[0], out=KKJ[0])
-                J[2] += d2 * KJ[0] + d1 * (d1 * KKJ[0] + 2.0 * KJ[1])
-                J[1] += d1 * KJ[0]
-                np.matmul(K, J, out=KJ)  # Rodrigues' rotation
-                np.matmul(K, KJ, out=KKJ)
-                KKJ *= 1.0 - np.cos(th)
-                KJ *= np.sin(th)
-                KJ += KKJ
-                J += KJ
-            out[:, lo:hi] = J.transpose(0, 2, 1)
-        return out[0], out[1], out[2]
+        frames = [(fr.K[None, None], fr.phase) for fr in reversed(self.frames)]
+        X, Xd, Xdd = _propagate(self.base[None], frames, ts[None])[:, 0]
+        return X, Xd, Xdd
 
     def period(self):
         periods = []
@@ -613,6 +675,56 @@ def read_points_csv(path):
 
 
 # ---------------------------------------------------------------------------
+# stacks of curves
+
+
+class CurveStack:
+    """Curves evaluated together, each at its own row of times. Compounds
+    with the same phase kinds frame by frame share one propagation pass;
+    any other member runs its own batch. Member b's jets are bit for bit
+    those of its lone batch at the same times."""
+
+    def __init__(self, curves):
+        self.curves = tuple(curves)
+        self.manifold = self.curves[0].manifold
+        shapes = {}
+        for b, c in enumerate(self.curves):
+            shape = tuple(type(fr.phase) for fr in c.frames) if type(c) is SphericalCompound else b
+            shapes.setdefault(shape, []).append(b)
+        self._passes = [(rows, self._pass([self.curves[b] for b in rows]))
+                        for rows in shapes.values()]
+
+    @staticmethod
+    def _pass(members):
+        """(G, n) times -> the (3, G, n, dim) jets of one group of members."""
+        if len(members) == 1:
+            return lambda ts: np.stack(members[0].batch(ts[0]))[:, None]
+        base = np.stack([c.base for c in members])
+        frames = [(np.stack([c.frames[f].K for c in members])[:, None],
+                   PhaseStack.of([c.frames[f].phase for c in members]))
+                  for f in reversed(range(len(members[0].frames)))]
+        return lambda ts: _propagate(base, frames, ts)
+
+    def batch(self, ts):
+        """(X, Xd, Xdd), each (B, n, dim), at the rows of ts (B, n)."""
+        ts = np.asarray(ts, dtype=float)
+        if len(self.curves) == 1:
+            return tuple(J[None] for J in self.curves[0].batch(ts[0]))
+        out = np.empty((3, *ts.shape, self.manifold.dim))
+        for rows, run in self._passes:
+            out[:, rows] = run(ts[rows])
+        return out[0], out[1], out[2]
+
+    def jets(self, windows) -> "JetTable":
+        """The members' tables on their windows, which share a sample
+        count: (B, n) times and (B, n, dim) rows."""
+        for curve, window in zip(self.curves, windows):
+            _check_domain(curve, window)
+        ts = np.stack([w.grid() for w in windows])
+        return JetTable(ts, *self.batch(ts))
+
+
+# ---------------------------------------------------------------------------
 # windowed extrema
 
 # quantities of the curve's points through an auxiliary function: name -> its batch method
@@ -641,9 +753,7 @@ class Quantity:
     refine: bool = True
 
 
-def curve_jets(curve, window: TimeWindow) -> JetTable:
-    """Evaluate the curve once on the window grid. Windows reaching
-    outside the curve's domain are rejected."""
+def _check_domain(curve, window: TimeWindow) -> None:
     dom = curve.domain()
     if dom is not None:
         lo, hi = dom
@@ -651,6 +761,12 @@ def curve_jets(curve, window: TimeWindow) -> JetTable:
         if window.t_min < lo - pad or window.t_max > hi + pad:
             raise OutOfDomainError(
                 f"window [{window.t_min}, {window.t_max}] exceeds curve domain [{lo}, {hi}]")
+
+
+def curve_jets(curve, window: TimeWindow) -> JetTable:
+    """Evaluate the curve once on the window grid. Windows reaching
+    outside the curve's domain are rejected."""
+    _check_domain(curve, window)
     ts = window.grid()
     return JetTable(ts, *curve.batch(ts))
 
@@ -675,9 +791,9 @@ def quantity_values(manifold, quantity, jets: JetTable, aux=None) -> np.ndarray:
 
 
 def _check_finite(values, ts):
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        t_bad = float(np.asarray(ts)[bad][0])
+    finite = np.isfinite(values)
+    if not finite.all():
+        t_bad = float(np.asarray(ts)[~finite][0])
         raise NumericFailureError(f"non-finite quantity value at t = {t_bad!r}", t=t_bad)
 
 
@@ -686,48 +802,98 @@ def scan_extremum(curve, window: TimeWindow, specs, jets: JetTable | None = None
     the smallest t), then one batched parabolic search (golden_max_batch)
     over the brackets of every refined spec together, each seeded with
     its three grid points, so each step evaluates the curve once for all
-    of them."""
+    of them.
+
+    curve may also be a CurveStack whose members share a sample count and
+    scan the same quantities in the same modes, each with its own aux.
+    window and specs then hold one entry per member, jets is
+    CurveStack.jets(windows) and the result holds one list per member.
+    One search runs over every member's brackets, each at its own
+    window's tolerance, and gives each member its lone scan's result bit
+    for bit."""
+    if isinstance(curve, CurveStack):
+        return _scan_stack(curve, window, specs, curve.jets(window) if jets is None else jets)
     jets = curve_jets(curve, window) if jets is None else jets
-    signs = [1.0 if spec.mode == "max" else -1.0 for spec in specs]
-    refined = [i for i, spec in enumerate(specs) if spec.refine]
+    return _scan_stack(CurveStack([curve]), [window], [specs], JetTable(*(a[None] for a in jets)))[0]
+
+
+def _member(table: JetTable, b: int) -> JetTable:
+    return JetTable(table.ts[b], table.X[b], table.Xd[b], table.Xdd[b])
+
+
+def _stack_values(manifold, specs):
+    """rows, a (B, m) JetTable -> the (B, m) values of the quantity that
+    specs (one per member) name. A named quantity without aux is evaluated
+    on all rows at once, any other member by member."""
+    quantity, auxes = specs[0].quantity, [spec.aux for spec in specs]
+    if len(auxes) == 1:
+        def values(rows):
+            return quantity_values(manifold, quantity, _member(rows, 0), aux=auxes[0])[None]
+    elif isinstance(quantity, str) and all(aux is None for aux in auxes):
+        def values(rows):
+            d = rows.X.shape[2]
+            flat = JetTable(rows.ts.ravel(), rows.X.reshape(-1, d), rows.Xd.reshape(-1, d),
+                            rows.Xdd.reshape(-1, d))
+            return quantity_values(manifold, quantity, flat).reshape(rows.ts.shape)
+    else:
+        def values(rows):
+            return np.array([quantity_values(manifold, quantity, _member(rows, b), aux=aux)
+                             for b, aux in enumerate(auxes)])
+    return values
+
+
+def _scan_stack(stack, windows, specs, jets: JetTable) -> list:
+    B, n = jets.ts.shape
+    first = specs[0]
+    evaluate = [_stack_values(stack.manifold, column) for column in zip(*specs)]
+    refined = [i for i, spec in enumerate(first) if spec.refine]
     k = 3  # brackets [t_{g-1}, t_{g+1}] per refined spec, around its best grid points
 
-    def signed_values(i, rows):
-        vals = quantity_values(curve.manifold, specs[i].quantity, rows, aux=specs[i].aux)
+    def signed_values(i, rows):  # (B, m) values of spec i at rows, larger is better
+        vals = evaluate[i](rows)
         _check_finite(vals, rows.ts)
-        return signs[i] * vals
+        return vals if first[i].mode == "max" else -vals
 
-    owner = np.repeat(np.arange(len(refined)), k)  # the spec of each bracket
+    owner = np.repeat(np.arange(len(refined)), k)  # the spec of each of a member's brackets
 
     def fused(t):  # each point of t takes the value of its bracket's spec
-        rows = JetTable(t, *curve.batch(t))
-        return np.choose(owner, [signed_values(i, rows) for i in refined])
+        t = t.reshape(B, -1)
+        rows = JetTable(t, *stack.batch(t))
+        return np.choose(owner, [signed_values(i, rows) for i in refined]).ravel()
 
-    grid = [signed_values(i, jets) for i in range(len(specs))]
+    grid = [signed_values(i, jets) for i in range(len(first))]  # (member, sample) tables
     xs = ys = np.empty(0)
     if refined:
-        last = len(jets.ts) - 1
-        top = [np.argpartition(grid[i], -k)[-k:] for i in refined]
-        seeds = [[np.clip(g + s, 0, last) for g in top] for s in (-1, 0, 1)]  # lo, mid, hi
+        top = np.stack([np.argpartition(grid[i], -k, axis=1)[:, -k:] for i in refined], axis=1)
+        seeds = [np.clip(top + s, 0, n - 1) for s in (-1, 0, 1)]  # lo, mid, hi: (member, spec, k)
+        member = np.arange(B)[:, None]
         # a bracket of 1e-5 steps pins a smooth extremum to ~1e-12 in value
+        tols = [max(1e-13, w.step * 1e-5) for w in windows]
+        tol = tols[0] if B == 1 else np.repeat(tols, len(refined) * k)
         xs, ys = golden_max_batch(
-            fused, [jets.ts[np.concatenate(idx)] for idx in seeds],
-            [np.concatenate([grid[i][g] for i, g in zip(refined, idx)]) for idx in seeds],
-            tol=max(1e-13, window.step * 1e-5), maxiter=32)
-    brackets = iter(zip(xs.reshape(-1, k), ys.reshape(-1, k)))
+            fused, [jets.ts[member[:, :, None], idx].ravel() for idx in seeds],
+            [np.stack([grid[i][member, idx[:, j]] for j, i in enumerate(refined)], axis=1).ravel()
+             for idx in seeds], tol=tol, maxiter=32)
+    xs, ys = xs.reshape(B, -1, k), ys.reshape(B, -1, k)
+    best = [np.argmax(values, axis=1) for values in grid]  # argmax returns the first (smallest t)
     out = []
-    for spec, sign, values in zip(specs, signs, grid):
-        g = int(np.argmax(values))  # argmax returns the first (smallest t)
-        best_t, grid_v = float(jets.ts[g]), float(values[g])
-        best_v = grid_v
-        if spec.refine:
-            bx, by = next(brackets)
-            m = int(np.argmax(by))
-            if by[m] > best_v:
-                best_t, best_v = float(bx[m]), float(by[m])
-        out.append(SupEstimate(value=sign * best_v, argmax_t=best_t,
-                               grid_step=window.step, samples=window.samples,
-                               refine_gain=(best_v - grid_v) / max(abs(grid_v), 1e-12)))
+    for b, window in enumerate(windows):
+        brackets = iter(zip(xs[b], ys[b]))
+        estimates = []
+        for i, spec in enumerate(first):
+            g = int(best[i][b])
+            best_t, grid_v = float(jets.ts[b, g]), float(grid[i][b, g])
+            best_v = grid_v
+            if spec.refine:
+                bx, by = next(brackets)
+                m = int(np.argmax(by))
+                if by[m] > best_v:
+                    best_t, best_v = float(bx[m]), float(by[m])
+            sign = 1.0 if spec.mode == "max" else -1.0
+            estimates.append(SupEstimate(value=sign * best_v, argmax_t=best_t,
+                                         grid_step=window.step, samples=window.samples,
+                                         refine_gain=(best_v - grid_v) / max(abs(grid_v), 1e-12)))
+        out.append(estimates)
     return out
 
 

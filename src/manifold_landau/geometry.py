@@ -44,7 +44,8 @@ class SurfacePoint:
 
     def __post_init__(self):
         v = as_vector(self.coords, dim=3)
-        norm = float(np.linalg.norm(v))
+        with np.errstate(over="ignore"):  # a norm past the float range reads inf
+            norm = float(np.linalg.norm(v))
         err = abs(norm - 1.0)
         if err > UNIT_NORM_REPAIR_TOL:
             raise OffManifoldError(f"point norm {norm!r} deviates from 1 by {err:.3e}")

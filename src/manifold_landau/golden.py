@@ -61,8 +61,9 @@ def golden_max_batch(f_batch, ts, ys, tol: float = 1e-10, maxiter: int = 60):
     ts = (lo, mid, hi) are arrays of abscissae with lo <= mid <= hi and
     ys their values; mid may coincide with an end (a bracket centred on
     a window end). f_batch maps an array of abscissae, one per bracket,
-    to their values. Returns (x_best, y_best) arrays, one entry per
-    bracket: the best point seen, never worse than the best seed.
+    to their values. tol is one number or an array of one per bracket.
+    Returns (x_best, y_best) arrays, one entry per bracket: the best
+    point seen, never worse than the best seed.
 
     A bracket whose mid value is below an end's has no interior peak to
     find there and returns that end without evaluating anything. Every

@@ -22,6 +22,7 @@ import numpy as np
 from .auxfun import AuxFunction, ChordalHalfSquare, LambdaEstimate, closed_form_lambda
 from .chebyshev import CapCenter, chebyshev_center
 from .curves import (
+    CurveStack,
     GreatCircle,
     JetTable,
     Latitude,
@@ -109,30 +110,40 @@ def manifold_bound_report(curve, U: AuxFunction, window: TimeWindow | None = Non
         raise InvalidInputError("curve and auxiliary function live on different manifolds")
     window = window or default_window(curve)
     jets = curve_jets(curve, window) if jets is None else jets
-    specs = [Quantity("speed"), Quantity("covariant_accel_norm"),
-             Quantity("aux_gradient_norm", aux=U),
-             # sup of U enters only through its finiteness, grid precision suffices
-             Quantity("aux_value", aux=U, refine=False),
-             Quantity("aux_unit_hessian_min", aux=U, mode="min")]
-    speed, r2, r0, sup_u, lam = scan_extremum(curve, window, specs, jets=jets)
-    lam = closed_form_lambda(U, curve, lam)
+    return _bound_reports(CurveStack([curve]), [U], [window],
+                          JetTable(*(a[None] for a in jets)))[0]
 
+
+def _bound_reports(stack: CurveStack, Us, windows, jets: JetTable) -> list:
+    """manifold_bound_report of each member of a stack, from one stacked
+    scan: member b with Us[b] on windows[b], jets = stack.jets(windows)."""
+    scans = scan_extremum(stack, windows, [
+        [Quantity("speed"), Quantity("covariant_accel_norm"),
+         Quantity("aux_gradient_norm", aux=U),
+         # sup of U enters only through its finiteness, grid precision suffices
+         Quantity("aux_value", aux=U, refine=False),
+         Quantity("aux_unit_hessian_min", aux=U, mode="min")] for U in Us], jets=jets)
+    X_lam = stack.batch([[lam.argmax_t] for *_, lam in scans])[0]  # lambda's argmin points
     C = landau_constant().C
-    lhs = speed.value ** 2
-    if lam.value == 0.0:
-        rhs = math.inf
-    else:
-        rhs = C * C * r0.value * r2.value / lam.value
-    hypotheses_ok = bool(math.isfinite(sup_u.value) and 0.0 < r0.value and math.isfinite(r0.value)
-                         and lam.value > 0.0)
-    satisfied = bool(lhs <= rhs * (1.0 + BOUND_TOL)) if math.isfinite(rhs) else True
-    notes = ()
-    if not hypotheses_ok:
-        notes = ("hypotheses violated: the bound makes no claim on this curve",)
-    return BoundReport(r0=r0, r2=r2, lam=lam, speed=speed, sup_u=sup_u.value,
-                       lhs=lhs, rhs=rhs, slack_ratio=_slack(lhs, rhs),
-                       hypotheses_ok=hypotheses_ok, satisfied=satisfied,
-                       window=window, notes=notes)
+    reports = []
+    for U, window, (speed, r2, r0, sup_u, lam), x in zip(Us, windows, scans, X_lam):
+        lam = closed_form_lambda(U, x[0], lam)
+        lhs = speed.value ** 2
+        if lam.value == 0.0:
+            rhs = math.inf
+        else:
+            rhs = C * C * r0.value * r2.value / lam.value
+        hypotheses_ok = bool(math.isfinite(sup_u.value) and 0.0 < r0.value
+                             and math.isfinite(r0.value) and lam.value > 0.0)
+        satisfied = bool(lhs <= rhs * (1.0 + BOUND_TOL)) if math.isfinite(rhs) else True
+        notes = ()
+        if not hypotheses_ok:
+            notes = ("hypotheses violated: the bound makes no claim on this curve",)
+        reports.append(BoundReport(r0=r0, r2=r2, lam=lam, speed=speed, sup_u=sup_u.value,
+                                   lhs=lhs, rhs=rhs, slack_ratio=_slack(lhs, rhs),
+                                   hypotheses_ok=hypotheses_ok, satisfied=satisfied,
+                                   window=window, notes=notes))
+    return reports
 
 
 def sphere_bound_report(curve, window: TimeWindow | None = None,
@@ -150,8 +161,24 @@ def sphere_bound_report(curve, window: TimeWindow | None = None,
     jets = curve_jets(curve, window) if jets is None else jets
     if cap is None:
         cap = chebyshev_center(jets.X)
-    U = ChordalHalfSquare(cap.e)
-    rep = manifold_bound_report(curve, U, window, jets=jets)
+    return _with_cap(manifold_bound_report(curve, ChordalHalfSquare(cap.e), window, jets=jets), cap)
+
+
+def sphere_bound_reports(curves, windows) -> list:
+    """sphere_bound_report(curve, window) of each curve, with its window,
+    from one stacked evaluation: one jet table, one scan and one search
+    for all of them. The windows share a sample count; each report equals
+    its lone one bit for bit."""
+    stack = CurveStack(curves)
+    if not stack.manifold.is_sphere:
+        raise InvalidInputError("sphere bound needs a sphere curve")
+    jets = stack.jets(windows)
+    caps = [chebyshev_center(X) for X in jets.X]
+    reports = _bound_reports(stack, [ChordalHalfSquare(cap.e) for cap in caps], windows, jets)
+    return [_with_cap(rep, cap) for rep, cap in zip(reports, caps)]
+
+
+def _with_cap(rep: BoundReport, cap: CapCenter) -> BoundReport:
     C = landau_constant().C
     lv = rep.lam.value
     if lv == 0.0:
@@ -315,6 +342,7 @@ def counterexample_report(T: float = 50.0, samples: int = 4001,
 
 PROBE_FAMILIES = ("latitude", "great_circle", "compound")
 PROBE_SAMPLES = 513
+STACK_ROWS = 1 << 14  # sample rows (curves x samples) one probe stack evaluates: about 5 MB
 
 
 @dataclass(frozen=True)
@@ -379,12 +407,40 @@ def probe_q(curve, samples: int = PROBE_SAMPLES):
     """Q = lambda * lhs / (r0 * r2) for the sphere bound with the cap
     center as auxiliary center; the bound guarantees Q <= C^2. Returns
     (None, report) when the hypotheses fail."""
-    window = default_window(curve, samples=samples)
-    rep = sphere_bound_report(curve, window)
+    return _q(sphere_bound_report(curve, default_window(curve, samples=samples)))
+
+
+def _q(rep: BoundReport):
     denom = rep.r0.value * rep.r2.value
     if not rep.hypotheses_ok or denom <= 0.0:
         return None, rep
     return rep.lam.value * rep.lhs / denom, rep
+
+
+def probe_qs(curves, samples: int = PROBE_SAMPLES) -> list:
+    """probe_q(curve, samples)[0] of each curve, and None also where that
+    raises an input or numeric error. Up to STACK_ROWS // samples curves
+    are scored as one stack (sphere_bound_reports). A stack that raises is
+    scored again curve by curve, so one failing curve never fails the
+    others."""
+    qs = []
+    size = max(1, STACK_ROWS // samples)
+    for lo in range(0, len(curves), size):
+        part = curves[lo:lo + size]
+        if len(part) > 1:
+            try:
+                reports = sphere_bound_reports(
+                    part, [default_window(c, samples=samples) for c in part])
+                qs += [_q(rep)[0] for rep in reports]
+                continue
+            except (InvalidInputError, NumericFailureError):
+                pass
+        for curve in part:
+            try:
+                qs.append(probe_q(curve, samples)[0])
+            except (InvalidInputError, NumericFailureError):
+                qs.append(None)
+    return qs
 
 
 class _BudgetSpent(Exception):
@@ -394,7 +450,12 @@ class _BudgetSpent(Exception):
 def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> None:
     """Minimize f from x0 step for step as scipy 1.17's default
     `minimize(method="Nelder-Mead")` does, so it evaluates the same points
-    in the same order; the probe records each one, so nothing is returned."""
+    in the same order; the probe records each one, so nothing is returned.
+
+    f maps a (k, N) array of points to their k values, in order. The
+    initial simplex and each shrink, whose points do not depend on one
+    another's values, go to f as one call; every other step is a call
+    with one point."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
     N = len(x0)
@@ -404,16 +465,17 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> None:
     fsim = np.full(N + 1, np.inf)
     fcalls = 0
 
-    def func(x):
+    def func(points):
         nonlocal fcalls
-        if fcalls >= maxfev:
+        within = points[:maxfev - fcalls]
+        values = f(np.copy(within)) if len(within) else []
+        fcalls += len(within)
+        if len(within) < len(points):
             raise _BudgetSpent
-        fcalls += 1
-        return f(np.copy(x))
+        return values
 
     try:
-        for k in range(N + 1):
-            fsim[k] = func(sim[k])
+        fsim[:] = func(sim)
         ind = np.argsort(fsim)
         sim, fsim = sim[ind], fsim[ind]
         while fcalls < maxfev:
@@ -422,28 +484,27 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> None:
                 return
             xbar = np.add.reduce(sim[:-1], 0) / N
             xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = func(xr)
+            fxr, = func(xr[None])
             if fxr < fsim[0]:
                 xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = func(xe)
+                fxe, = func(xe[None])
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = func(xc)
+                    fxc, = func(xc[None])
                     accept = fxc <= fxr
                 else:  # inside contraction
                     xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = func(xc)
+                    fxc, = func(xc[None])
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
-                    for j in range(1, N + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = func(sim[j])
+                    sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                    fsim[1:] = func(sim[1:])
             ind = np.argsort(fsim)
             sim, fsim = sim[ind], fsim[ind]
     except _BudgetSpent:
@@ -472,37 +533,46 @@ def sharpness_probe(family: str, budget: int, seed: int = 42) -> ProbeResult:
     # candidate, and build_curve rounds a moved frequency back
     q_of = {}
 
-    def consider(params):
+    def consider(candidates):
+        """Q of each candidate, counted in order. Each is built once, and
+        the curves not yet scored are scored together (probe_qs)."""
         nonlocal evaluations, skipped, best_q, best_params
-        try:
-            curve = build_curve(family, params)
-            key = pickle.dumps(curve)
-            if key not in q_of:
-                q_of[key] = probe_q(curve)[0]
-            q = q_of[key]
-        except (InvalidInputError, NumericFailureError):
-            q = None
-        evaluations += 1
-        if q is None:
-            skipped += 1
-            return None
-        if q > ceiling:
-            raise NumericFailureError(
-                f"probe found Q = {q!r} above the guaranteed ceiling C^2; this is a bug")
-        if q > best_q:
-            best_q, best_params = q, np.array(params, dtype=float)
-        return q
+        keys = []
+        fresh = {}
+        for params in candidates:
+            try:
+                curve = build_curve(family, params)
+            except (InvalidInputError, NumericFailureError):
+                keys.append(None)
+                continue
+            keys.append(pickle.dumps(curve))
+            if keys[-1] not in q_of:
+                fresh.setdefault(keys[-1], curve)
+        q_of.update(zip(fresh, probe_qs(list(fresh.values()))))
+        qs = []
+        for params, key in zip(candidates, keys):
+            q = None if key is None else q_of[key]
+            evaluations += 1
+            if q is None:
+                skipped += 1
+            elif q > ceiling:
+                raise NumericFailureError(
+                    f"probe found Q = {q!r} above the guaranteed ceiling C^2; this is a bug")
+            elif q > best_q:
+                best_q, best_params = q, np.array(params, dtype=float)
+            qs.append(q)
+        return qs
 
-    for _ in range(budget):
-        consider(sample_params(family, rng))
+    stack = max(1, STACK_ROWS // PROBE_SAMPLES)
+    for lo in range(0, budget, stack):
+        consider([sample_params(family, rng) for _ in range(min(stack, budget - lo))])
 
     polished = False
     if best_params is not None and len(best_params) > 0:
-        def neg_q(p):
+        def neg_q(points):
             if family == "compound":
-                p = np.concatenate([[best_params[0]], p])
-            q = consider(p)
-            return math.inf if q is None else -q
+                points = [np.concatenate([[best_params[0]], p]) for p in points]
+            return [math.inf if q is None else -q for q in consider(points)]
 
         x0 = best_params[1:] if family == "compound" else best_params
         if len(x0) > 0:

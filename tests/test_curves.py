@@ -13,6 +13,8 @@ from manifold_landau.curves import (
     QuadraticPhase,
     RotatingFrame,
     SampledCurve,
+    CurveStack,
+    Quantity,
     SinusoidalPhase,
     SphericalCompound,
     TimeWindow,
@@ -22,6 +24,7 @@ from manifold_landau.curves import (
     load_sampled,
     read_curve_csv,
     read_points_csv,
+    scan_extremum,
     sup_norm,
 )
 from manifold_landau.errors import (
@@ -197,12 +200,72 @@ class TestAnalyticEval:
             GreatCircle([1.0, 0, 0], [0.1, 1.0, 0], LinearPhase(1.0))
         with pytest.raises(InvalidCurveError):
             GreatCircle([2.0, 0, 0], [0, 1.0, 0], LinearPhase(1.0))
+        # a norm past the float range: the error, and no numpy warning
+        with pytest.raises(InvalidCurveError, match=r"norm inf"):
+            GreatCircle([1e200, 0, 0], [0, 1.0, 0], LinearPhase(1.0))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-160, 1e160])
+    def test_rotation_axis_scale_is_irrelevant(self, scale):
+        # squares of these entries over- or underflow: the frame normalizes
+        # the axis scaled by its largest entry, with no numpy warning
+        frame = RotatingFrame([scale, scale, 0.0], LinearPhase(1.0))
+        unit = RotatingFrame([1.0, 1.0, 0.0], LinearPhase(1.0))
+        np.testing.assert_array_equal(frame.axis, unit.axis)
+        np.testing.assert_array_equal(frame.K, skew(unit.axis))
+        with pytest.raises(InvalidCurveError, match="nonzero"):
+            RotatingFrame([0.0, 0.0, 0.0], LinearPhase(1.0))
 
     def test_latitude_validation(self):
         with pytest.raises(InvalidCurveError):
             Latitude(0.0, LinearPhase(1.0))
         with pytest.raises(InvalidCurveError):
             Latitude(math.pi, LinearPhase(1.0))
+
+
+class TestCurveStack:
+    """A stack's members give their lone results bit for bit."""
+
+    @staticmethod
+    def mixed_stack(rng):
+        """2- and 3-frame compounds with sinusoidal phases, periodic with
+        different periods, a 3-frame compound of other phase kinds and a
+        great circle, shuffled."""
+        def compound(kinds):
+            return SphericalCompound([RotatingFrame(random_unit(rng), kind()) for kind in kinds],
+                                     random_unit(rng))
+        sine = lambda: SinusoidalPhase(rng.uniform(0.1, 0.6), float(rng.integers(1, 4)))
+        curves = [compound([sine] * int(rng.integers(2, 4))) for _ in range(9)]
+        curves.append(compound([lambda: LinearPhase(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                                lambda: QuadraticPhase(rng.uniform(-0.3, 0.3)), sine]))
+        curves.append(GreatCircle([1.0, 0, 0], [0, 1.0, 0], SinusoidalPhase(0.7, 2.0)))
+        return [curves[i] for i in rng.permutation(len(curves))]
+
+    @pytest.mark.parametrize("n", [1, 12, 513, 4097, 8193])
+    def test_batch_matches_lone_batch(self, n):
+        rng = np.random.default_rng([20, n])
+        curves = self.mixed_stack(rng)
+        ts = rng.uniform(-20.0, 20.0, (len(curves), n))
+        stacked = CurveStack(curves).batch(ts)
+        for b, curve in enumerate(curves):
+            for got, want in zip(stacked, curve.batch(ts[b])):
+                np.testing.assert_array_equal(got[b], want)
+                assert got[b].flags.c_contiguous
+
+    def test_scan_matches_lone_scan(self):
+        rng = np.random.default_rng(21)
+        curves = self.mixed_stack(rng)
+        windows = [default_window(c, samples=513) for c in curves]
+        specs = [[Quantity("speed"), Quantity("covariant_accel_norm", mode="min"),
+                  Quantity(lambda ts, X, Xd, Xdd: X[:, 2] * ts, refine=False),
+                  Quantity(lambda ts, X, Xd, Xdd: X[:, 0] + b)] for b in range(len(curves))]
+        stack = CurveStack(curves)
+        jets = stack.jets(windows)
+        scans = scan_extremum(stack, windows, specs, jets=jets)
+        for b, curve in enumerate(curves):
+            lone = curve_jets(curve, windows[b])
+            for got, want in zip(jets, lone):
+                np.testing.assert_array_equal(got[b], want)
+            assert scans[b] == scan_extremum(curve, windows[b], specs[b])
 
 
 class TestPeriods:

@@ -44,6 +44,11 @@ class TestSurfacePoint:
         with pytest.raises(InvalidInputError):
             SurfacePoint([np.nan, 0.0, 1.0])
 
+    def test_rejects_overflowing_norm_without_warning(self):
+        # a numpy RuntimeWarning fails the test (pyproject filterwarnings)
+        with pytest.raises(OffManifoldError, match="norm inf"):
+            SurfacePoint([1e200, 0.0, 0.0])
+
 
 class TestProjectTangent:
     def test_already_tangent(self):

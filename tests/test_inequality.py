@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from manifold_landau.auxfun import (
     lambda_min,
 )
 from manifold_landau.curves import (
+    CurveStack,
     EuclideanAnalytic,
     GreatCircle,
     Latitude,
@@ -21,6 +24,7 @@ from manifold_landau.curves import (
     SinusoidalPhase,
     SphericalCompound,
     TimeWindow,
+    curve_jets,
     default_window,
     load_sampled,
     sup_norm,
@@ -36,10 +40,12 @@ from manifold_landau.inequality import (
     landau_constant,
     manifold_bound_report,
     probe_q,
+    probe_qs,
     proof_diagnostics,
     sample_params,
     sharpness_probe,
     sphere_bound_report,
+    sphere_bound_reports,
 )
 
 POLE = SurfacePoint([0.0, 0.0, 1.0])
@@ -268,28 +274,103 @@ class TestProbe:
         """The polish repeats the best candidate as its first vertex, and
         build_curve rounds a frequency moved by 5% back to its integer: a
         curve already evaluated is counted again but not run again."""
-        real_build, real_q = inequality.build_curve, inequality.probe_q
+        real_build, real_qs = inequality.build_curve, inequality.probe_qs
         built, evaluated = [], []
 
         def build(fam, params):
             built.append(real_build(fam, params))
             return built[-1]
 
-        def q_of(curve):
-            evaluated.append(curve)
-            return real_q(curve)
+        def qs_of(curves):
+            evaluated.extend(curves)
+            return real_qs(curves)
 
         monkeypatch.setattr(inequality, "build_curve", build)
-        monkeypatch.setattr(inequality, "probe_q", q_of)
+        monkeypatch.setattr(inequality, "probe_qs", qs_of)
         res = sharpness_probe(family, budget=30, seed=seed)
         distinct = {self.curve_numbers(c) for c in built}
         assert res.evaluations == len(built)
         assert len(evaluated) == len(distinct) == len(built) - repeats
         assert {self.curve_numbers(c) for c in evaluated} == distinct
 
+    @pytest.mark.parametrize("family, seed, best_q, evaluations", [
+        ("compound", 42, "1.2350585180480496", 90),
+        ("great_circle", 0, "0.9999666664443874", 90),
+        ("latitude", 0, "1.0000000000000062", 69)])
+    def test_pinned_results(self, family, seed, best_q, evaluations):
+        res = sharpness_probe(family, budget=30, seed=seed)
+        assert (repr(res.best_q), res.evaluations, res.skipped) == (best_q, evaluations, 0)
+
+    def test_compound_probe_scores_in_stacks(self, monkeypatch):
+        """Scored one candidate at a time, this probe makes 677 compound
+        batch calls; with its 30 random candidates and its first simplex
+        each scored as one stack, 383, and 425 with the simplex scored
+        one vertex at a time."""
+        calls = []
+        real_batch = SphericalCompound.batch
+
+        def batch(curve, ts):
+            calls.append(len(ts))
+            return real_batch(curve, ts)
+
+        monkeypatch.setattr(SphericalCompound, "batch", batch)
+        sharpness_probe("compound", budget=30, seed=42)
+        assert len(calls) <= 400, len(calls)
+
+
+@dataclass(frozen=True)
+class NanAfterOne(LinearPhase):
+    """A linear phase that reads NaN from t = 1 on."""
+
+    @staticmethod
+    def jets_of(t, omega, phi):
+        th, d1, d2 = LinearPhase.jets_of(t, omega, phi)
+        return np.where(t < 1.0, th, np.nan), d1, d2
+
+
+class TestStackedScoring:
+    """sphere_bound_reports and probe_qs against lone evaluations."""
+
+    @staticmethod
+    def mixed_candidates():
+        rng = np.random.default_rng(2024)
+        curves = [build_curve("compound", sample_params("compound", rng)) for _ in range(12)]
+        assert {len(c.frames) for c in curves} == {2, 3}
+        return curves
+
+    def test_members_match_lone_evaluations(self):
+        curves = self.mixed_candidates()
+        windows = [default_window(c, samples=257) for c in curves]
+        jets = CurveStack(curves).jets(windows)
+        reports = sphere_bound_reports(curves, windows)
+        for b, (curve, window) in enumerate(zip(curves, windows)):
+            for got, want in zip(jets, curve_jets(curve, window)):
+                np.testing.assert_array_equal(got[b], want)
+            assert pickle.dumps(reports[b]) == pickle.dumps(sphere_bound_report(curve, window))
+        assert probe_qs(curves, samples=257) == [probe_q(c, samples=257)[0] for c in curves]
+
+    def test_raising_member_is_skipped_alone(self, monkeypatch):
+        curves = self.mixed_candidates()[:4]
+        bad = SphericalCompound([RotatingFrame([0.0, 1.0, 0.0], NanAfterOne(0.5))], [0, 0, 1.0])
+        with pytest.raises(InvalidInputError):
+            probe_q(bad)
+        stacks = []
+        real_reports = inequality.sphere_bound_reports
+
+        def reports(part, windows):
+            stacks.append(len(part))
+            return real_reports(part, windows)
+
+        monkeypatch.setattr(inequality, "sphere_bound_reports", reports)
+        qs = probe_qs(curves[:2] + [bad] + curves[2:])
+        assert stacks == [5]
+        assert qs == [probe_q(c)[0] for c in curves[:2]] + [None] + [probe_q(c)[0] for c in curves[2:]]
+        assert None not in qs[:2] + qs[3:]
+
 
 def scipy_nelder_mead(f, x0, maxfev, xatol, fatol):
-    minimize(f, x0, method="Nelder-Mead",
+    """scipy evaluates one point at a time, as a one-row stack of f."""
+    minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
              options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
 
 
@@ -303,14 +384,15 @@ class TestNelderMeadPort:
         real_build, real_q = inequality.build_curve, inequality.probe_q
         memo, seen = {}, []
 
-        def q_of(key):  # key is (family, params) from the patched build_curve
-            if key not in memo:
-                memo[key] = real_q(real_build(key[0], np.array(key[1])))
-            seen.append(memo[key][0])
-            return memo[key]
+        def qs_of(keys):  # each key is (family, params) from the patched build_curve
+            for key in keys:
+                if key not in memo:
+                    memo[key] = real_q(real_build(key[0], np.array(key[1])))
+                seen.append(memo[key][0])
+            return [memo[key][0] for key in keys]
 
         monkeypatch.setattr(inequality, "build_curve", lambda fam, p: (fam, tuple(map(float, p))))
-        monkeypatch.setattr(inequality, "probe_q", q_of)
+        monkeypatch.setattr(inequality, "probe_qs", qs_of)
 
         def run(seed):
             seen.clear()

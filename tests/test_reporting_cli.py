@@ -503,6 +503,33 @@ class TestNonFiniteInputs:
         assert _one_error_line(["chebyshev", str(path)]) == (
             1, "", "error: point at row 1 is off the unit sphere by inf\n")
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"family": "great_circle", "params": {"a": [1e200, 0, 0], "b": [0, 1.0, 0],
+                                               "phase": {"kind": "linear", "omega": 1.0}}},
+         "error: a must be a unit vector (norm inf)\n"),
+        ({"family": "latitude", "params": {"colatitude": 0.7,
+                                           "phase": {"kind": "linear", "omega": 1.0}},
+          "aux": {"kind": "chordal", "center": [1e200, 0, 0]}},
+         "error: point norm inf deviates from 1 by inf\n"),
+    ], ids=["great-circle-a", "aux-center"])
+    def test_unit_vector_norm_past_the_float_range(self, tmp_path, spec, message):
+        assert _one_error_line(["check", write_spec(tmp_path, spec)]) == (1, "", message)
+
+    def test_rotation_axis_norm_past_the_float_range(self, tmp_path):
+        """The axis is normalized after scaling by its largest entry, so
+        the frame is the one of the axis [1, 1, 0]."""
+        def spec(axis, name):
+            frames = [{"axis": axis, "phase": {"kind": "sinusoidal", "amp": 0.4, "omega": 1.0}},
+                      {"axis": [0.0, 0.3, 1.0],
+                       "phase": {"kind": "sinusoidal", "amp": 0.3, "omega": 2.0}}]
+            return write_spec(tmp_path, {"family": "compound",
+                                         "params": {"base": [0.0, 0.0, 1.0], "frames": frames}},
+                              name=name)
+
+        huge = _one_error_line(["check", spec([1e300, 1e300, 0.0], "huge.json"), "--json"])
+        unit = _one_error_line(["check", spec([1.0, 1.0, 0.0], "unit.json"), "--json"])
+        assert huge == unit and unit[0] == 0 and unit[2] == ""
+
 
 def _axes_csv(tmp_path):
     """The six unit axis points: no open hemisphere holds them, so the cap
