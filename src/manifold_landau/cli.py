@@ -29,6 +29,7 @@ function on the sphere. Unknown keys anywhere are rejected.
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 
@@ -131,7 +132,7 @@ def _phase_from_spec(obj, path):
                  for f in fields(cls)))
 
 
-def _curve_from_spec(spec: dict):
+def _curve_from_spec(spec: dict, spec_path: str):
     family = _need(spec, "family", "")
     params = spec.get("params", {})
     if not isinstance(params, dict):
@@ -181,7 +182,8 @@ def _curve_from_spec(spec: dict):
         path = _need(params, "path", "params")
         if not isinstance(path, str):
             raise SpecValidationError("'params.path' must be a string", key="params.path")
-        return read_curve_csv(path)
+        # relative to the spec's directory, so a spec and its CSV move together
+        return read_curve_csv(os.path.join(os.path.dirname(spec_path), path))
     raise SpecValidationError(
         f"unknown family '{family}' (expected latitude, great_circle, compound, "
         "euclidean or sampled)", key="family")
@@ -336,10 +338,10 @@ def _cmd_constant(args) -> int:
     return EXIT_OK
 
 
-def _bound_report(spec: dict):
-    """Curve, window, jets, aux function and bound report of a spec, from
-    one evaluation of the curve on the window grid."""
-    curve = _curve_from_spec(spec)
+def _bound_report(spec: dict, spec_path: str):
+    """Curve, window, jets, aux function and bound report of the spec read
+    from spec_path, from one evaluation of the curve on the window grid."""
+    curve = _curve_from_spec(spec, spec_path)
     window = _window_from_spec(spec, curve)
     cls, center = _aux_from_spec(spec, curve)
     jets = curve_jets(curve, window)
@@ -354,7 +356,7 @@ def _bound_report(spec: dict):
 
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
-    curve, window, jets, U, rep = _bound_report(spec)
+    curve, window, jets, U, rep = _bound_report(spec, args.spec)
     _emit(args, "check", rep, lambda: _bound_report_text(rep),
           lambda fp: curve_time_series(curve, window, fp, aux=U, jets=jets),
           seed=spec.get("seed"), notes=[f"note: {n}" for n in rep.notes])
@@ -363,7 +365,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     spec = _load_spec(args.spec)
-    curve, window, jets, U, rep = _bound_report(spec)
+    curve, window, jets, U, rep = _bound_report(spec, args.spec)
     try:
         diag = proof_diagnostics(curve, U, report=rep, jets=jets)
     except HypothesisViolationError as exc:
@@ -422,7 +424,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_classical(args) -> int:
     spec = _load_spec(args.spec)
-    curve = _curve_from_spec(spec)
+    curve = _curve_from_spec(spec, args.spec)
     if curve.manifold.is_sphere or curve.manifold.dim != 1:
         raise SpecValidationError("classical check needs family 'euclidean' with one component",
                                   key="family")

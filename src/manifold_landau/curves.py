@@ -1,10 +1,9 @@
 """Curve families on the unit sphere and R^d, and sup-norm scans.
 
 Analytic families carry exact first and second derivatives. Sampled
-curves differentiate their own grid with 4th-order central stencils in
-the interior and 2nd-order one-sided stencils at the ends; between
-nodes they evaluate the local degree-4 interpolant so scan refinement
-has a continuous function to work with.
+curves take every jet, at nodes and between them, from the degree-4
+interpolant through the 5-node window of the nearest node, so a grid
+scan and its refinement see one function.
 
 Suprema over the real line are approximated on a finite window: a
 uniform grid scan, then a batched safeguarded parabolic search (golden
@@ -214,6 +213,8 @@ class TimeWindow:
     def __post_init__(self):
         if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
             raise InvalidInputError("window endpoints must be finite")
+        if not math.isfinite(self.t_max - self.t_min):
+            raise InvalidInputError("window span t_max - t_min must be finite")
         if not self.t_min < self.t_max:
             raise InvalidInputError("window requires t_min < t_max")
         if self.samples < 3:
@@ -496,23 +497,26 @@ class EuclideanAnalytic(Curve):
 # ---------------------------------------------------------------------------
 # sampled curves
 
-SNAP_FRACTION = 1e-9  # of the grid step: closer than this counts as a node
+DOMAIN_PAD = 1e-9  # times this far past a sampled end (in steps, or spans for windows) lie inside
 
 # inverse Vandermonde matrices of the 5-node windows at offsets k..k+4 from
-# the nearest node, indexed by k + 4 (k = -2 in the interior, -4..-3 and
-# -1..0 near the ends)
-_WINDOW_INVERSES = np.stack([np.linalg.inv(np.vander(np.arange(k, k + 5, dtype=float), 5,
-                                                     increasing=True)) for k in range(-4, 1)])
+# the node they serve, indexed by k + 4 (k = -2 in the interior, -4..-3 and
+# -1..0 near the ends). Every entry is an integer over 24: rounded to it, row
+# 0 is a unit vector and each node's value is its data row bit for bit.
+_WINDOW_INVERSES = np.rint(24 * np.stack([
+    np.linalg.inv(np.vander(np.arange(k, k + 5, dtype=float), 5, increasing=True))
+    for k in range(-4, 1)])) / 24
 
 
 @dataclass(frozen=True)
 class SampledCurve(Curve):
-    """Uniformly sampled curve differentiated with finite differences.
+    """Uniformly sampled curve, evaluated through its degree-4 interpolants.
 
-    Node jets use the documented stencils (4th-order central in the
-    interior, 2nd-order near and at the ends); off-node times evaluate
-    the degree-4 interpolant through the 5 nearest nodes, which at
-    interior nodes reproduces the central stencils exactly.
+    Node i owns the polynomial through the 5-node window centred on it
+    (the first or last 5 nodes near the ends); every time, nodes included,
+    takes its jets from the polynomial of its nearest node. At interior
+    nodes that gives the 4th-order central stencils, at the two nodes
+    nearest each end the one-sided 5-node formulas.
     """
 
     ts: np.ndarray
@@ -537,44 +541,32 @@ class SampledCurve(Curve):
         return float(self.ts[0]), float(self.ts[-1])
 
     @cached_property
-    def _node_jets(self):
-        """(Xd, Xdd) at every node, by the documented stencils."""
-        f, h = self.points, self.step
-        Xd, Xdd = np.empty_like(f), np.empty_like(f)
-        Xd[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
-        Xdd[2:-2] = (-f[4:] + 16 * f[3:-1] - 30 * f[2:-2] + 16 * f[1:-3] - f[:-4]) / (12 * h * h)
-        near = [1, -2]
-        Xd[near] = (f[[2, -1]] - f[[0, -3]]) / (2 * h)
-        Xdd[near] = (f[[2, -1]] - 2 * f[near] + f[[0, -3]]) / (h * h)
-        Xd[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
-        Xdd[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h)
-        Xd[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-        Xdd[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / (h * h)
-        return Xd, Xdd
+    def _coefficients(self):
+        """(n, 5, dim): row i holds node i's interpolant in powers of
+        s = (t - t_i) / h."""
+        f, n = self.points, len(self.points)
+        table = np.empty((n, 5, f.shape[1]))
+        windows = np.stack([f[j:n - 4 + j] for j in range(5)])  # node i - 2 + j of row i
+        table[2:-2] = np.tensordot(_WINDOW_INVERSES[2], windows, axes=1).transpose(1, 0, 2)
+        table[:2] = _WINDOW_INVERSES[[4, 3]] @ f[:5]
+        table[-2:] = _WINDOW_INVERSES[[1, 0]] @ f[-5:]
+        return table
 
     def batch(self, ts):
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain()
         h = self.step
-        pad = SNAP_FRACTION * h
+        pad = DOMAIN_PAD * h
         outside = ~((ts >= lo - pad) & (ts <= hi + pad))  # NaN too
         if np.any(outside):
             bad = ts[outside][0]
             raise OutOfDomainError(f"t = {bad!r} outside sampled domain [{lo!r}, {hi!r}]")
-        n = len(self.ts)
-        nearest = np.clip(np.rint((ts - lo) / h), 0, n - 1).astype(int)
-        X, (Xd, Xdd) = self.points[nearest], (J[nearest] for J in self._node_jets)
-        off = np.abs(ts - self.ts[nearest]) > pad  # closer than pad is the node itself
-        if np.any(off):
-            # the degree-4 interpolant through the 5-node window, in powers of s
-            near = nearest[off]
-            start = np.clip(near - 2, 0, n - 5)
-            coeff = _WINDOW_INVERSES[start - near + 4] @ self.points[start[:, None] + np.arange(5)]
-            s = ((ts[off] - self.ts[near]) / h)[:, None, None]
-            X[off] = (s ** np.arange(5) @ coeff)[:, 0]
-            Xd[off] = (np.arange(1, 5) * s ** np.arange(4) / h @ coeff[:, 1:])[:, 0]
-            d2w = np.concatenate([np.full_like(s, 2.0), 6.0 * s, 12.0 * s * s], axis=2) / (h * h)
-            Xdd[off] = (d2w @ coeff[:, 2:])[:, 0]
+        nearest = np.clip(np.rint((ts - lo) / h), 0, len(self.ts) - 1).astype(int)
+        c = self._coefficients[nearest].transpose(1, 0, 2)  # c[k]: the s^k coefficients
+        s = ((ts - self.ts[nearest]) / h)[:, None]
+        X = (((c[4] * s + c[3]) * s + c[2]) * s + c[1]) * s + c[0]
+        Xd = (((4.0 * c[4] * s + 3.0 * c[3]) * s + 2.0 * c[2]) * s + c[1]) / h
+        Xdd = ((12.0 * c[4] * s + 6.0 * c[3]) * s + 2.0 * c[2]) / (h * h)
         return X, Xd, Xdd
 
 
@@ -757,7 +749,7 @@ def _check_domain(curve, window: TimeWindow) -> None:
     dom = curve.domain()
     if dom is not None:
         lo, hi = dom
-        pad = SNAP_FRACTION * max(1.0, abs(hi - lo))
+        pad = DOMAIN_PAD * max(1.0, abs(hi - lo))
         if window.t_min < lo - pad or window.t_max > hi + pad:
             raise OutOfDomainError(
                 f"window [{window.t_min}, {window.t_max}] exceeds curve domain [{lo}, {hi}]")

@@ -452,6 +452,23 @@ class TestFileErrors:
         assert len(lines) == 1 and lines[0].startswith(("error: ", "spec error: ")), lines
         assert not captured.out
 
+    def test_sampled_path_is_relative_to_the_spec(self, tmp_path, monkeypatch, capsys):
+        """A relative params.path names a file beside the spec, whatever the
+        working directory."""
+        data = tmp_path / "data"
+        data.mkdir()
+        ts = np.arange(65) * (2 * math.pi / 64)
+        (data / "curve.csv").write_text("t,x,y,z\n" + "".join(
+            f"{t!r},{0.6 * math.cos(t)!r},{0.6 * math.sin(t)!r},0.8\n" for t in ts.tolist()),
+            encoding="utf-8")
+        spec = _sampled_spec(data, "curve.csv")
+        outputs = []
+        for cwd, path in ((tmp_path, spec), (data, "sampled.json")):
+            monkeypatch.chdir(cwd)
+            assert main(["check", path, "--json"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and not outputs[0].err
+
     def test_points_csv_names_non_finite_row(self, tmp_path, capsys):
         path = tmp_path / "points.csv"
         path.write_text("t,x,y,z\n0.0,0,0,1\n0.1,nan,0,1\n0.2,1,0,0\n", encoding="utf-8")
@@ -496,6 +513,13 @@ class TestNonFiniteInputs:
             encoding="utf-8")
         assert _one_error_line(["check", _sampled_spec(tmp_path, str(csv_path))]) == (
             1, "", "error: non-uniform grid at row 2: step deviates by inf relative\n")
+
+    def test_window_span_past_the_float_range(self, tmp_path):
+        spec = {"family": "latitude", "params": {"colatitude": 0.7,
+                                                 "phase": {"kind": "linear", "omega": 1.0}},
+                "window": {"t_min": -1e308, "t_max": 1e308, "samples": 11}}
+        assert _one_error_line(["check", write_spec(tmp_path, spec)]) == (
+            1, "", "error: window span t_max - t_min must be finite\n")
 
     def test_point_norm_past_the_float_range(self, tmp_path):
         path = tmp_path / "points.csv"
@@ -674,6 +698,12 @@ class TestArgumentErrors:
     def test_help_and_version_exit_0(self, capsys, argv):
         assert _exit_code(argv) == 0
         assert capsys.readouterr().out
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == manifold_landau.__version__
 
 
 NO_SCIPY_SCRIPT = """
