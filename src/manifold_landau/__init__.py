@@ -84,4 +84,4 @@ from .inequality import (
     sphere_bound_report,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

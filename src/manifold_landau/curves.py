@@ -34,6 +34,7 @@ TWO_PI = 2.0 * math.pi
 JET_BLOCK = 4096  # samples per compound propagation block: 0.9 MB of scratch buffers
 PERIOD_TOL = 1e-9  # combine_periods: relative tolerance of a whole-number period ratio
 PERIOD_MAX_MULTIPLE = 64  # combine_periods: multiples of the running period tried
+DOMAIN_PAD = 1e-9  # times up to DOMAIN_PAD * max(1, span) past a sampled end lie inside
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +119,10 @@ class SinusoidalPhase(Phase):
 
     @property
     def coefficients(self):
-        # in Python floats: libm's omega ** 2 and numpy's square of a column can differ
-        return self.amp, self.omega, self.drift, self.amp * self.omega, -self.amp * self.omega ** 2
+        # in Python floats: libm's omega ** 2 and numpy's square of a column can differ;
+        # ** raises past the float range, where the product reads inf
+        w2 = self.omega ** 2 if abs(self.omega) < 1e154 else self.omega * self.omega
+        return self.amp, self.omega, self.drift, self.amp * self.omega, -self.amp * w2
 
     @staticmethod
     def jets_of(t, amp, omega, drift, amp_omega, neg_amp_omega2):
@@ -297,65 +300,6 @@ def _unit(v, name):
 
 
 @dataclass(frozen=True)
-class GreatCircle(Curve):
-    """x(t) = cos(theta(t)) a + sin(theta(t)) b with a, b orthonormal."""
-
-    a: np.ndarray
-    b: np.ndarray
-    phase: object
-    manifold: Manifold = field(default_factory=Manifold.sphere2, init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _unit(self.a, "a"))
-        object.__setattr__(self, "b", _unit(self.b, "b"))
-        dot = float(np.dot(self.a, self.b))
-        if abs(dot) > 1e-9:
-            raise InvalidCurveError(f"a and b must be orthogonal (<a,b> = {dot:.3e})")
-
-    def batch(self, ts):
-        th, d1, d2 = self.phase.jets(ts)
-        c, s = np.cos(th), np.sin(th)
-        u = np.outer(c, self.a) + np.outer(s, self.b)      # x
-        w = np.outer(-s, self.a) + np.outer(c, self.b)     # dx/dtheta
-        X = u
-        Xd = d1[:, None] * w
-        Xdd = d2[:, None] * w - (d1 ** 2)[:, None] * u
-        return X, Xd, Xdd
-
-    def period(self):
-        return self.phase.mod2pi_period()
-
-
-@dataclass(frozen=True)
-class Latitude(Curve):
-    """Circle at fixed colatitude: (sin c cos theta, sin c sin theta, cos c)."""
-
-    colatitude: float
-    phase: object
-    manifold: Manifold = field(default_factory=Manifold.sphere2, init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.colatitude < math.pi:
-            raise InvalidCurveError("colatitude must lie strictly between 0 and pi")
-
-    def batch(self, ts):
-        sc = math.sin(self.colatitude)
-        cc = math.cos(self.colatitude)
-        th, d1, d2 = self.phase.jets(ts)
-        c, s = np.cos(th), np.sin(th)
-        n = len(np.atleast_1d(th))
-        X = np.column_stack([sc * c, sc * s, np.full(n, cc)])
-        w = np.column_stack([-sc * s, sc * c, np.zeros(n)])    # dx/dtheta
-        ww = np.column_stack([-sc * c, -sc * s, np.zeros(n)])  # d2x/dtheta2
-        Xd = d1[:, None] * w
-        Xdd = d2[:, None] * w + (d1 ** 2)[:, None] * ww
-        return X, Xd, Xdd
-
-    def period(self):
-        return self.phase.mod2pi_period()
-
-
-@dataclass(frozen=True)
 class RotatingFrame:
     """One factor of a compound curve: rotation about a fixed axis whose
     angle follows a phase function. K is the cross-product matrix of the
@@ -429,7 +373,8 @@ class SphericalCompound(Curve):
 
     Orthogonal factors keep the point exactly on the sphere. The exact
     jets (x, x', x'') are propagated frame by frame from the innermost
-    out, one Rodrigues rotation of the three vectors per frame.
+    out, one Rodrigues rotation of the three vectors per frame. Great
+    circles and latitude circles are the one-frame compounds below.
     """
 
     frames: tuple
@@ -456,6 +401,27 @@ class SphericalCompound(Curve):
                 continue
             periods.append(fr.phase.mod2pi_period())
         return combine_periods(periods)
+
+
+class GreatCircle(SphericalCompound):
+    """x(t) = cos(theta(t)) a + sin(theta(t)) b, a and b orthonormal: a turned about a x b."""
+
+    def __init__(self, a, b, phase):
+        a, b = _unit(a, "a"), _unit(b, "b")
+        dot = float(np.dot(a, b))
+        if abs(dot) > 1e-9:
+            raise InvalidCurveError(f"a and b must be orthogonal (<a,b> = {dot:.3e})")
+        super().__init__((RotatingFrame(np.cross(a, b), phase),), a)
+
+
+class Latitude(SphericalCompound):
+    """Circle at colatitude c: (sin c, 0, cos c) turned about e_z by theta(t)."""
+
+    def __init__(self, colatitude, phase):
+        if not 0.0 < colatitude < math.pi:
+            raise InvalidCurveError("colatitude must lie strictly between 0 and pi")
+        super().__init__((RotatingFrame([0.0, 0.0, 1.0], phase),),
+                         [math.sin(colatitude), 0.0, math.cos(colatitude)])
 
 
 @dataclass(frozen=True)
@@ -497,7 +463,12 @@ class EuclideanAnalytic(Curve):
 # ---------------------------------------------------------------------------
 # sampled curves
 
-DOMAIN_PAD = 1e-9  # times this far past a sampled end (in steps, or spans for windows) lie inside
+
+def _outside(domain, ts):
+    """Mask of the times ts outside domain = (lo, hi) padded by DOMAIN_PAD; NaN is outside."""
+    pad = DOMAIN_PAD * max(1.0, domain[1] - domain[0])
+    return ~((ts >= domain[0] - pad) & (ts <= domain[1] + pad))
+
 
 # inverse Vandermonde matrices of the 5-node windows at offsets k..k+4 from
 # the node they serve, indexed by k + 4 (k = -2 in the interior, -4..-3 and
@@ -556,10 +527,9 @@ class SampledCurve(Curve):
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain()
         h = self.step
-        pad = DOMAIN_PAD * h
-        outside = ~((ts >= lo - pad) & (ts <= hi + pad))  # NaN too
+        outside = _outside((lo, hi), ts)
         if np.any(outside):
-            bad = ts[outside][0]
+            bad = float(ts[outside][0])
             raise OutOfDomainError(f"t = {bad!r} outside sampled domain [{lo!r}, {hi!r}]")
         nearest = np.clip(np.rint((ts - lo) / h), 0, len(self.ts) - 1).astype(int)
         c = self._coefficients[nearest].transpose(1, 0, 2)  # c[k]: the s^k coefficients
@@ -669,6 +639,9 @@ def read_points_csv(path):
 # ---------------------------------------------------------------------------
 # stacks of curves
 
+# jets of huge spec numbers overflow quietly: scans reject them in _check_finite
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
 
 class CurveStack:
     """Curves evaluated together, each at its own row of times. Compounds
@@ -681,7 +654,7 @@ class CurveStack:
         self.manifold = self.curves[0].manifold
         shapes = {}
         for b, c in enumerate(self.curves):
-            shape = tuple(type(fr.phase) for fr in c.frames) if type(c) is SphericalCompound else b
+            shape = tuple(type(fr.phase) for fr in c.frames) if isinstance(c, SphericalCompound) else b
             shapes.setdefault(shape, []).append(b)
         self._passes = [(rows, self._pass([self.curves[b] for b in rows]))
                         for rows in shapes.values()]
@@ -707,6 +680,7 @@ class CurveStack:
             out[:, rows] = run(ts[rows])
         return out[0], out[1], out[2]
 
+    @_quiet_overflow
     def jets(self, windows) -> "JetTable":
         """The members' tables on their windows, which share a sample
         count: (B, n) times and (B, n, dim) rows."""
@@ -747,14 +721,12 @@ class Quantity:
 
 def _check_domain(curve, window: TimeWindow) -> None:
     dom = curve.domain()
-    if dom is not None:
-        lo, hi = dom
-        pad = DOMAIN_PAD * max(1.0, abs(hi - lo))
-        if window.t_min < lo - pad or window.t_max > hi + pad:
-            raise OutOfDomainError(
-                f"window [{window.t_min}, {window.t_max}] exceeds curve domain [{lo}, {hi}]")
+    if dom is not None and _outside(dom, np.array([window.t_min, window.t_max])).any():
+        raise OutOfDomainError(
+            f"window [{window.t_min}, {window.t_max}] exceeds curve domain [{dom[0]}, {dom[1]}]")
 
 
+@_quiet_overflow
 def curve_jets(curve, window: TimeWindow) -> JetTable:
     """Evaluate the curve once on the window grid. Windows reaching
     outside the curve's domain are rejected."""
@@ -789,6 +761,7 @@ def _check_finite(values, ts):
         raise NumericFailureError(f"non-finite quantity value at t = {t_bad!r}", t=t_bad)
 
 
+@_quiet_overflow
 def scan_extremum(curve, window: TimeWindow, specs, jets: JetTable | None = None) -> list:
     """One SupEstimate per Quantity spec: the grid extremum (ties go to
     the smallest t), then one batched parabolic search (golden_max_batch)

@@ -152,7 +152,7 @@ class TestCounterexample:
 
     def test_curve_family(self):
         curve = counterexample_curve()
-        assert isinstance(curve.phase, QuadraticPhase)
+        assert isinstance(curve.frames[0].phase, QuadraticPhase)
         ev = curve.evaluate(3.0)
         assert abs(np.linalg.norm(ev.xdot) - 3.0) <= 1e-12
 
@@ -235,6 +235,29 @@ class TestDiagnostics:
                               TimeWindow(0.0, 50.0, 512))
 
 
+class TestClosedFormTruth:
+    """Probe families whose reports are known in closed form."""
+
+    def test_sinusoidal_great_circles(self):
+        """theta = A sin(omega t) sweeps the arc [-A, A] of a great circle:
+        speed A omega, r2 A omega^2, and about the arc's midpoint r0 = sin A,
+        lambda = cos A, so Q = A cot A."""
+        rng = np.random.default_rng(40)
+        for _ in range(40):
+            A, omega = rng.uniform(0.1, 1.4), rng.uniform(0.25, 4.0)
+            curve = GreatCircle([1.0, 0, 0], [0, 1.0, 0], SinusoidalPhase(A, omega))
+            q, rep = probe_q(curve, samples=4097)
+            for got, want in ((rep.speed.value, A * omega), (rep.r2.value, A * omega ** 2),
+                              (rep.r0.value, math.sin(A)), (rep.lam.value, math.cos(A)),
+                              (q, A / math.tan(A))):
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (A, omega)
+
+    @pytest.mark.parametrize("colatitude", [0.1, 0.5, 1.0, 1.5])
+    def test_latitude_q_is_exactly_one(self, colatitude):
+        q, _ = probe_q(Latitude(colatitude, LinearPhase(1.0)))
+        assert q == pytest.approx(1.0, rel=5e-14, abs=0)
+
+
 class TestProbe:
     def test_latitude_q_is_one(self):
         res = sharpness_probe("latitude", budget=1, seed=42)
@@ -262,11 +285,9 @@ class TestProbe:
     @staticmethod
     def curve_numbers(curve):
         """Every number a probe candidate is built from, as exact floats."""
-        if isinstance(curve, SphericalCompound):
-            return tuple((*f.axis.tolist(), f.phase.amp, f.phase.omega) for f in curve.frames)
         if isinstance(curve, Latitude):
-            return (curve.colatitude,)
-        return (curve.phase.amp, curve.phase.omega)
+            return tuple(curve.base.tolist())
+        return tuple((*f.axis.tolist(), f.phase.amp, f.phase.omega) for f in curve.frames)
 
     @pytest.mark.parametrize("family, seed, repeats", [
         ("compound", 0, 4), ("compound", 42, 3), ("great_circle", 3, 7), ("latitude", 0, 12)])

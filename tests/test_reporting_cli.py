@@ -20,7 +20,6 @@ from manifold_landau import reporting
 from manifold_landau.cli import main
 from manifold_landau.curves import (
     PHASE_KINDS,
-    GreatCircle,
     Latitude,
     LinearPhase,
     SphericalCompound,
@@ -376,14 +375,16 @@ class TestWorkBudget:
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """(samples, thread id) of every compound and great-circle batch call."""
+        """(samples, thread id) of every compound batch call, great circles
+        included: they are one-frame compounds."""
         calls = []
-        for cls in (SphericalCompound, GreatCircle):
-            def counted(curve, ts, original=cls.batch):
-                calls.append((len(ts), threading.get_ident()))
-                return original(curve, ts)
+        original = SphericalCompound.batch
 
-            monkeypatch.setattr(cls, "batch", counted)
+        def counted(curve, ts):
+            calls.append((len(ts), threading.get_ident()))
+            return original(curve, ts)
+
+        monkeypatch.setattr(SphericalCompound, "batch", counted)
         return calls
 
     def test_probe_q_batch_calls(self, batches):
@@ -538,6 +539,46 @@ class TestNonFiniteInputs:
     ], ids=["great-circle-a", "aux-center"])
     def test_unit_vector_norm_past_the_float_range(self, tmp_path, spec, message):
         assert _one_error_line(["check", write_spec(tmp_path, spec)]) == (1, "", message)
+
+    @pytest.mark.parametrize("command, family, phase, t", [
+        ("check", "latitude", {"kind": "linear", "omega": 1e300}, "0.0"),
+        ("diagnose", "latitude", {"kind": "linear", "omega": 1e300}, "0.0"),
+        ("check", "great_circle", {"kind": "sinusoidal", "amp": 1e300, "omega": 1.0}, "0.0"),
+        ("check", "great_circle", {"kind": "sinusoidal", "amp": 1.0, "omega": 1e300}, "0.0"),
+        ("diagnose", "compound", {"kind": "quadratic", "alpha": 1e300}, "-20.0"),
+        ("classical", "euclidean", {"kind": "sinusoidal", "amp": 1e300, "omega": 1e10}, "0.0"),
+    ], ids=["latitude-omega", "latitude-diagnose", "great-circle-amp", "great-circle-omega",
+            "compound-alpha", "classical-amp"])
+    def test_finite_spec_numbers_whose_jets_overflow(self, tmp_path, command, family, phase, t):
+        """Finite but huge numbers overflow the jets: the scan names the
+        first non-finite value, and numpy does not warn on the way."""
+        params = {"latitude": {"colatitude": 0.7, "phase": phase},
+                  "great_circle": {"a": [1.0, 0, 0], "b": [0, 1.0, 0], "phase": phase},
+                  "compound": {"base": [0, 0, 1.0], "frames": [{"axis": [1.0, 0, 0],
+                                                                "phase": phase}]},
+                  "euclidean": {"components": [[phase]]}}[family]
+        path = write_spec(tmp_path, {"family": family, "params": params})
+        assert _one_error_line([command, path]) == (
+            1, "", f"error: non-finite quantity value at t = {t}\n")
+
+    def test_sampled_window_end_within_the_domain_pad(self, tmp_path):
+        """A window end 3e-9 past the last time lies inside the domain for
+        the window check and the evaluation alike; 1e-6 past, the window is
+        rejected by name."""
+        ts = np.arange(65) * (2 * math.pi / 64)
+        csv_path = tmp_path / "curve.csv"
+        csv_path.write_text("t,x,y,z\n" + "".join(
+            f"{t!r},{0.6 * math.cos(t)!r},{0.6 * math.sin(t)!r},0.8\n" for t in ts.tolist()),
+            encoding="utf-8")
+        for past, name in ((3e-9, "pad.json"), (1e-6, "past.json")):
+            spec = {"family": "sampled", "params": {"path": str(csv_path)},
+                    "window": {"t_min": 0.0, "t_max": float(ts[-1]) + past, "samples": 65}}
+            code, out, err = _one_error_line(["check", write_spec(tmp_path, spec, name=name)])
+            assert "np.float64" not in err
+            if past < 1e-8:
+                assert (code, err) == (0, "") and out
+            else:
+                assert (code, out) == (1, "") and err.startswith("error: window [0.0, ")
 
     def test_rotation_axis_norm_past_the_float_range(self, tmp_path):
         """The axis is normalized after scaling by its largest entry, so
