@@ -272,8 +272,8 @@ def hessian_quadratic_fd(U: AuxFunction, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def closed_form_lambda(U: AuxFunction, x: np.ndarray, est: SupEstimate) -> LambdaEstimate:
-    """LambdaEstimate from a min scan of the "aux_unit_hessian_min" quantity,
-    with a unit tangent attaining the minimum at x, the curve's point at
+    """LambdaEstimate from a min scan of U.unit_hessian_min_batch, with a
+    unit tangent attaining the minimum at x, the curve's point at
     the scan's argmin."""
     direction = U.unit_hessian_argmin(x)
     if U.manifold.is_sphere:
@@ -286,7 +286,7 @@ def lambda_min(U: AuxFunction, curve, window: TimeWindow,
                jets: JetTable | None = None) -> LambdaEstimate:
     """Worst (smallest) Hessian quadratic-form value on unit tangents
     along the curve: a refined min scan of the closed-form minimum."""
-    spec = Quantity("aux_unit_hessian_min", aux=U, mode="min")
+    spec = Quantity(lambda ts, X, Xd, Xdd: U.unit_hessian_min_batch(X), mode="min")
     est, = scan_extremum(curve, window, [spec], jets=jets)
     return closed_form_lambda(U, curve.evaluate(est.argmax_t).x, est)
 

@@ -54,6 +54,7 @@ from .curves import (
 from .errors import HypothesisViolationError, ManifoldLandauError, SpecValidationError
 from .geometry import SurfacePoint
 from .inequality import (
+    PROBE_FAMILIES,
     classical_landau_check,
     counterexample_curve,
     counterexample_report,
@@ -534,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="empirical sharpness probe (Q <= C^2)",
                        description="CSV columns: family,best_q,best_sqrt_q,q_upper,"
                                    "evaluations,skipped,budget,seed.")
-    p.add_argument("--family", choices=["latitude", "great_circle", "compound"],
-                   default="compound")
+    p.add_argument("--family", choices=PROBE_FAMILIES, default="compound")
     p.add_argument("--budget", type=_int_at_least(1), default=100, help="random candidates (default 100)")
     p.add_argument("--seed", type=_int_at_least(0), default=42, help="random seed (default 42)")
     _add_format_flags(p)

@@ -119,10 +119,11 @@ class SinusoidalPhase(Phase):
 
     @property
     def coefficients(self):
+        omega = self.omega if self.amp != 0.0 else 0.0  # amp 0 is the drift alone, at any omega
         # in Python floats: libm's omega ** 2 and numpy's square of a column can differ;
         # ** raises past the float range, where the product reads inf
-        w2 = self.omega ** 2 if abs(self.omega) < 1e154 else self.omega * self.omega
-        return self.amp, self.omega, self.drift, self.amp * self.omega, -self.amp * w2
+        w2 = omega ** 2 if abs(omega) < 1e154 else omega * omega
+        return self.amp, omega, self.drift, self.amp * omega, -self.amp * w2
 
     @staticmethod
     def jets_of(t, amp, omega, drift, amp_omega, neg_amp_omega2):
@@ -693,11 +694,6 @@ class CurveStack:
 # ---------------------------------------------------------------------------
 # windowed extrema
 
-# quantities of the curve's points through an auxiliary function: name -> its batch method
-AUX_QUANTITIES = {"aux_value": "value_batch", "aux_gradient_norm": "gradient_norm_batch",
-                  "aux_unit_hessian_min": "unit_hessian_min_batch"}
-
-
 class JetTable(NamedTuple):
     """Times ts and the curve's (X, Xd, Xdd) rows at them. A function
     taking jets= expects curve_jets(curve, window) of its own window."""
@@ -710,13 +706,17 @@ class JetTable(NamedTuple):
 
 @dataclass(frozen=True)
 class Quantity:
-    """What scan_extremum looks for: the max or min of a named quantity
-    (or a callable f(ts, X, Xd, Xdd) -> values), refined off the grid or not."""
+    """What scan_extremum looks for: the max or min of a row function
+    f(ts, X, Xd, Xdd) -> one value per jet row, refined off the grid or not."""
 
-    quantity: object
-    aux: object = None
+    f: object
     mode: str = "max"
     refine: bool = True
+
+
+def speed(ts, X, Xd, Xdd) -> np.ndarray:
+    """|x'| at each jet row."""
+    return np.linalg.norm(Xd, axis=1)
 
 
 def _check_domain(curve, window: TimeWindow) -> None:
@@ -735,25 +735,6 @@ def curve_jets(curve, window: TimeWindow) -> JetTable:
     return JetTable(ts, *curve.batch(ts))
 
 
-def quantity_values(manifold, quantity, jets: JetTable, aux=None) -> np.ndarray:
-    """Evaluate a named or custom scalar quantity on the rows of jets.
-
-    Custom quantities are callables f(ts, X, Xd, Xdd) -> values operating
-    on whole batches.
-    """
-    if callable(quantity):
-        return np.asarray(quantity(*jets), dtype=float)
-    if quantity == "speed":
-        return np.linalg.norm(jets.Xd, axis=1)
-    if quantity == "covariant_accel_norm":
-        return np.linalg.norm(manifold.covariant_accel_array(jets.X, jets.Xdd), axis=1)
-    if quantity not in AUX_QUANTITIES:
-        raise InvalidInputError(f"unknown quantity {quantity!r}")
-    if aux is None:
-        raise InvalidInputError(f"{quantity} quantity needs an auxiliary function")
-    return getattr(aux, AUX_QUANTITIES[quantity])(jets.X)
-
-
 def _check_finite(values, ts):
     finite = np.isfinite(values)
     if not finite.all():
@@ -770,8 +751,8 @@ def scan_extremum(curve, window: TimeWindow, specs, jets: JetTable | None = None
     of them.
 
     curve may also be a CurveStack whose members share a sample count and
-    scan the same quantities in the same modes, each with its own aux.
-    window and specs then hold one entry per member, jets is
+    scan their own quantities, in modes and refine flags that agree member
+    by member. window and specs then hold one entry per member, jets is
     CurveStack.jets(windows) and the result holds one list per member.
     One search runs over every member's brackets, each at its own
     window's tolerance, and gives each member its lone scan's result bit
@@ -786,31 +767,29 @@ def _member(table: JetTable, b: int) -> JetTable:
     return JetTable(table.ts[b], table.X[b], table.Xd[b], table.Xdd[b])
 
 
-def _stack_values(manifold, specs):
-    """rows, a (B, m) JetTable -> the (B, m) values of the quantity that
-    specs (one per member) name. A named quantity without aux is evaluated
-    on all rows at once, any other member by member."""
-    quantity, auxes = specs[0].quantity, [spec.aux for spec in specs]
-    if len(auxes) == 1:
-        def values(rows):
-            return quantity_values(manifold, quantity, _member(rows, 0), aux=auxes[0])[None]
-    elif isinstance(quantity, str) and all(aux is None for aux in auxes):
+def _stack_values(column):
+    """rows, a (B, m) JetTable -> the (B, m) values of each member's
+    quantity on that member's rows. When every member holds the same
+    function it runs once on all rows, otherwise member by member."""
+    f = column[0].f
+    if all(q.f is f for q in column):
         def values(rows):
             d = rows.X.shape[2]
             flat = JetTable(rows.ts.ravel(), rows.X.reshape(-1, d), rows.Xd.reshape(-1, d),
                             rows.Xdd.reshape(-1, d))
-            return quantity_values(manifold, quantity, flat).reshape(rows.ts.shape)
+            return np.asarray(f(*flat), dtype=float).reshape(rows.ts.shape)
     else:
         def values(rows):
-            return np.array([quantity_values(manifold, quantity, _member(rows, b), aux=aux)
-                             for b, aux in enumerate(auxes)])
+            return np.array([q.f(*_member(rows, b)) for b, q in enumerate(column)], dtype=float)
     return values
 
 
 def _scan_stack(stack, windows, specs, jets: JetTable) -> list:
     B, n = jets.ts.shape
     first = specs[0]
-    evaluate = [_stack_values(stack.manifold, column) for column in zip(*specs)]
+    if any((q.mode, q.refine) != (p.mode, p.refine) for member in specs for q, p in zip(member, first)):
+        raise InvalidInputError("stack members scan a quantity in different modes or refinements")
+    evaluate = [_stack_values(column) for column in zip(*specs)]
     refined = [i for i, spec in enumerate(first) if spec.refine]
     k = 3  # brackets [t_{g-1}, t_{g+1}] per refined spec, around its best grid points
 
@@ -862,8 +841,7 @@ def _scan_stack(stack, windows, specs, jets: JetTable) -> list:
     return out
 
 
-def sup_norm(curve, window: TimeWindow, quantity, aux=None,
-             refine: bool = True) -> SupEstimate:
-    """Windowed sup of a scalar quantity: grid max, then parabolic
-    refinement around the 3 best grid points."""
-    return scan_extremum(curve, window, [Quantity(quantity, aux, "max", refine)])[0]
+def sup_norm(curve, window: TimeWindow, f, refine: bool = True) -> SupEstimate:
+    """Windowed sup of the row function f(ts, X, Xd, Xdd): grid max, then
+    parabolic refinement around the 3 best grid points."""
+    return scan_extremum(curve, window, [Quantity(f, refine=refine)])[0]

@@ -112,6 +112,10 @@ class Manifold:
             return Xdd - np.einsum("...i,...i->...", Xdd, X)[..., None] * X
         return np.asarray(Xdd, dtype=float)
 
+    def covariant_accel_norm(self, ts, X, Xd, Xdd) -> np.ndarray:
+        """|D_t x'| at each jet row: a scan quantity (curves.Quantity)."""
+        return np.linalg.norm(self.covariant_accel_array(X, Xdd), axis=1)
+
     def geodesic_array(self, x0, y, t: float) -> np.ndarray:
         if self.is_sphere:
             return _sphere_geodesic(np.asarray(x0, float), np.asarray(y, float), t)

@@ -37,6 +37,7 @@ from .curves import (
     curve_jets,
     default_window,
     scan_extremum,
+    speed,
 )
 from .errors import HypothesisViolationError, InvalidInputError, NumericFailureError
 
@@ -117,18 +118,22 @@ def manifold_bound_report(curve, U: AuxFunction, window: TimeWindow | None = Non
 def _bound_reports(stack: CurveStack, Us, windows, jets: JetTable) -> list:
     """manifold_bound_report of each member of a stack, from one stacked
     scan: member b with Us[b] on windows[b], jets = stack.jets(windows)."""
-    scans = scan_extremum(stack, windows, [
-        [Quantity("speed"), Quantity("covariant_accel_norm"),
-         Quantity("aux_gradient_norm", aux=U),
-         # sup of U enters only through its finiteness, grid precision suffices
-         Quantity("aux_value", aux=U, refine=False),
-         Quantity("aux_unit_hessian_min", aux=U, mode="min")] for U in Us], jets=jets)
+    accel = stack.manifold.covariant_accel_norm  # one function object: all rows at once
+
+    def quantities(U):
+        return [Quantity(speed), Quantity(accel),
+                Quantity(lambda ts, X, Xd, Xdd: U.gradient_norm_batch(X)),
+                # sup of U enters only through its finiteness, grid precision suffices
+                Quantity(lambda ts, X, Xd, Xdd: U.value_batch(X), refine=False),
+                Quantity(lambda ts, X, Xd, Xdd: U.unit_hessian_min_batch(X), mode="min")]
+
+    scans = scan_extremum(stack, windows, [quantities(U) for U in Us], jets=jets)
     X_lam = stack.batch([[lam.argmax_t] for *_, lam in scans])[0]  # lambda's argmin points
     C = landau_constant().C
     reports = []
-    for U, window, (speed, r2, r0, sup_u, lam), x in zip(Us, windows, scans, X_lam):
+    for U, window, (v, r2, r0, sup_u, lam), x in zip(Us, windows, scans, X_lam):
         lam = closed_form_lambda(U, x[0], lam)
-        lhs = speed.value ** 2
+        lhs = v.value ** 2
         if lam.value == 0.0:
             rhs = math.inf
         else:
@@ -139,7 +144,7 @@ def _bound_reports(stack: CurveStack, Us, windows, jets: JetTable) -> list:
         notes = ()
         if not hypotheses_ok:
             notes = ("hypotheses violated: the bound makes no claim on this curve",)
-        reports.append(BoundReport(r0=r0, r2=r2, lam=lam, speed=speed, sup_u=sup_u.value,
+        reports.append(BoundReport(r0=r0, r2=r2, lam=lam, speed=v, sup_u=sup_u.value,
                                    lhs=lhs, rhs=rhs, slack_ratio=_slack(lhs, rhs),
                                    hypotheses_ok=hypotheses_ok, satisfied=satisfied,
                                    window=window, notes=notes))
@@ -215,8 +220,8 @@ def classical_landau_check(curve, window: TimeWindow | None = None,
         raise InvalidInputError("classical check needs a scalar curve")
     window = window or default_window(curve)
     f_sup, fp_sup, fpp_sup = scan_extremum(
-        curve, window, [Quantity(lambda ts, X, Xd, Xdd: np.abs(X[:, 0])),
-                        Quantity("speed"), Quantity("covariant_accel_norm")], jets=jets)
+        curve, window, [Quantity(lambda ts, X, Xd, Xdd: np.abs(X[:, 0])), Quantity(speed),
+                        Quantity(curve.manifold.covariant_accel_norm)], jets=jets)
     lhs = fp_sup.value ** 2
     rhs = 2.0 * f_sup.value * fpp_sup.value
     return ClassicalReport(

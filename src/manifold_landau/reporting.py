@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .curves import JetTable, TimeWindow, curve_jets, quantity_values
+from .curves import JetTable, TimeWindow, curve_jets, speed
 from .geometry import SurfacePoint, TangentVector
 
 # dataclass field names renamed on the wire
@@ -117,8 +117,7 @@ def curve_time_series(curve, window: TimeWindow, fp, aux=None,
     v = <grad U o x, x'> and U o x."""
     jets = curve_jets(curve, window) if jets is None else jets
     ts, X, Xd, _ = jets
-    cols = [ts, np.linalg.norm(Xd, axis=1),
-            quantity_values(curve.manifold, "covariant_accel_norm", jets)]
+    cols = [ts, speed(*jets), curve.manifold.covariant_accel_norm(*jets)]
     header = ["t", "speed", "covariant_accel_norm"]
     if aux is not None:
         v = np.einsum("ni,ni->n", aux.gradient_batch(X), Xd)

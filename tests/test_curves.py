@@ -26,6 +26,7 @@ from manifold_landau.curves import (
     read_curve_csv,
     read_points_csv,
     scan_extremum,
+    speed,
     sup_norm,
 )
 from manifold_landau.errors import (
@@ -35,10 +36,11 @@ from manifold_landau.errors import (
     NumericFailureError,
     OutOfDomainError,
 )
-from manifold_landau.geometry import skew
+from manifold_landau.geometry import Manifold, skew
 from manifold_landau.inequality import sphere_bound_report
 
 SQ2 = math.sqrt(2.0) / 2.0
+SPHERE_ACCEL = Manifold.sphere2().covariant_accel_norm
 
 
 def unit_great_circle():
@@ -345,9 +347,10 @@ class TestCurveStack:
         rng = np.random.default_rng(21)
         curves = self.mixed_stack(rng)
         windows = [default_window(c, samples=513) for c in curves]
-        specs = [[Quantity("speed"), Quantity("covariant_accel_norm", mode="min"),
+        accel = curves[0].manifold.covariant_accel_norm  # one object: all rows at once
+        specs = [[Quantity(speed), Quantity(accel, mode="min"),
                   Quantity(lambda ts, X, Xd, Xdd: X[:, 2] * ts, refine=False),
-                  Quantity(lambda ts, X, Xd, Xdd: X[:, 0] + b)] for b in range(len(curves))]
+                  Quantity(lambda ts, X, Xd, Xdd, b=b: X[:, 0] + b)] for b in range(len(curves))]
         stack = CurveStack(curves)
         jets = stack.jets(windows)
         scans = scan_extremum(stack, windows, specs, jets=jets)
@@ -356,6 +359,15 @@ class TestCurveStack:
             for got, want in zip(jets, lone):
                 np.testing.assert_array_equal(got[b], want)
             assert scans[b] == scan_extremum(curve, windows[b], specs[b])
+
+    @pytest.mark.parametrize("other", [Quantity(speed, mode="min"), Quantity(speed, refine=False)])
+    def test_members_must_agree_on_mode_and_refine(self, other):
+        """One search serves every member, so a member may not ask for
+        another mode or refinement than member 0's."""
+        curves = [unit_great_circle(), Latitude(0.5, LinearPhase(1.0))]
+        windows = [TimeWindow(0.0, 1.0, 11)] * 2
+        with pytest.raises(InvalidInputError, match="different modes or refinements"):
+            scan_extremum(CurveStack(curves), windows, [[Quantity(speed)], [other]])
 
 
 class TestPeriods:
@@ -591,17 +603,16 @@ class TestSampled:
 class TestSupNorm:
     def test_constant_speed_latitude(self):
         est = sup_norm(Latitude(math.pi / 4, LinearPhase(1.0)),
-                       TimeWindow(-10.0, 10.0, 20001), "speed")
+                       TimeWindow(-10.0, 10.0, 20001), speed)
         assert abs(est.value - math.sin(math.pi / 4)) <= 1e-9
 
     def test_geodesic_accel_zero(self):
-        est = sup_norm(unit_great_circle(), TimeWindow(-5.0, 5.0, 2001),
-                       "covariant_accel_norm")
+        est = sup_norm(unit_great_circle(), TimeWindow(-5.0, 5.0, 2001), SPHERE_ACCEL)
         assert est.value <= 1e-9
 
     def test_latitude_accel_closed_form(self):
         est = sup_norm(Latitude(math.pi / 4, LinearPhase(1.0)),
-                       TimeWindow(-10.0, 10.0, 20001), "covariant_accel_norm")
+                       TimeWindow(-10.0, 10.0, 20001), SPHERE_ACCEL)
         assert abs(est.value - 0.5) <= 1e-9
 
     def test_constant_speed_any_window(self):
@@ -611,7 +622,7 @@ class TestSupNorm:
             om = rng.uniform(0.3, 3.0)
             a, b = sorted(rng.uniform(-8, 8, size=2))
             est = sup_norm(Latitude(th, LinearPhase(om)),
-                           TimeWindow(a, b + 0.5, 501), "speed")
+                           TimeWindow(a, b + 0.5, 501), speed)
             assert abs(est.value - om * math.sin(th)) <= 1e-9
 
     def test_monotone_under_grid_doubling(self):
@@ -619,15 +630,15 @@ class TestSupNorm:
         for samples in (11, 33, 101):
             w1 = TimeWindow(-3.0, 5.0, samples)
             w2 = TimeWindow(-3.0, 5.0, 2 * samples - 1)  # nested refinement
-            coarse = sup_norm(curve, w1, "speed", refine=False).value
-            fine = sup_norm(curve, w2, "speed", refine=False).value
+            coarse = sup_norm(curve, w1, speed, refine=False).value
+            fine = sup_norm(curve, w2, speed, refine=False).value
             assert fine >= coarse
 
     def test_refinement_improves_oscillatory(self):
         curve = Latitude(0.8, SinusoidalPhase(1.1, 2.3, drift=0.4))
         w = TimeWindow(-3.0, 5.0, 101)
-        coarse = sup_norm(curve, w, "speed", refine=False).value
-        refined = sup_norm(curve, w, "speed").value
+        coarse = sup_norm(curve, w, speed, refine=False).value
+        refined = sup_norm(curve, w, speed).value
         assert refined >= coarse
 
     def test_refine_gain_measures_the_off_grid_improvement(self):
@@ -668,14 +679,6 @@ class TestSupNorm:
             sup_norm(curve, TimeWindow(0.0, 4.0, 101), bad)
         assert err.value.t is not None and err.value.t > 2.0
 
-    def test_aux_quantity_requires_aux(self):
-        with pytest.raises(InvalidInputError):
-            sup_norm(unit_great_circle(), TimeWindow(0, 1, 11), "aux_gradient_norm")
-
-    def test_unknown_quantity(self):
-        with pytest.raises(InvalidInputError):
-            sup_norm(unit_great_circle(), TimeWindow(0, 1, 11), "nope")
-
     def test_window_validation(self):
         with pytest.raises(InvalidInputError):
             TimeWindow(1.0, 0.0, 11)
@@ -688,10 +691,10 @@ class TestSupNorm:
         curve = load_sampled(rows)
         # end nodes carry the 2nd-order one-sided error ~ h^2/3, which the
         # sup legitimately picks up
-        est = sup_norm(curve, TimeWindow(0.0, 1.0, 101), "speed")
+        est = sup_norm(curve, TimeWindow(0.0, 1.0, 101), speed)
         assert abs(est.value - 1.0) <= 1e-4
         with pytest.raises(OutOfDomainError):
-            sup_norm(curve, TimeWindow(0.0, 2.0, 11), "speed")
+            sup_norm(curve, TimeWindow(0.0, 2.0, 11), speed)
 
 
 class TestEuclideanAnalytic:

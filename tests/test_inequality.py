@@ -27,6 +27,7 @@ from manifold_landau.curves import (
     curve_jets,
     default_window,
     load_sampled,
+    speed,
     sup_norm,
 )
 from manifold_landau.errors import HypothesisViolationError, InvalidInputError
@@ -461,10 +462,11 @@ class TestFusedScan:
 
     def assert_matches_one_spec_scans(self, curve, U, rep):
         window = rep.window
-        assert rep.speed == sup_norm(curve, window, "speed")
-        assert rep.r2 == sup_norm(curve, window, "covariant_accel_norm")
-        assert rep.r0 == sup_norm(curve, window, "aux_gradient_norm", aux=U)
-        assert rep.sup_u == sup_norm(curve, window, "aux_value", aux=U, refine=False).value
+        assert rep.speed == sup_norm(curve, window, speed)
+        assert rep.r2 == sup_norm(curve, window, curve.manifold.covariant_accel_norm)
+        assert rep.r0 == sup_norm(curve, window, lambda ts, X, Xd, Xdd: U.gradient_norm_batch(X))
+        assert rep.sup_u == sup_norm(curve, window, lambda ts, X, Xd, Xdd: U.value_batch(X),
+                                     refine=False).value
         lam = lambda_min(U, curve, window)
         assert (rep.lam.value, rep.lam.argmin_t) == (lam.value, lam.argmin_t)
 
@@ -514,5 +516,5 @@ class TestFusedScan:
         window = TimeWindow(-10.0, 10.0, 4001)
         rep = classical_landau_check(curve, window)
         assert rep.f_sup == sup_norm(curve, window, lambda ts, X, Xd, Xdd: np.abs(X[:, 0]))
-        assert rep.fprime_sup == sup_norm(curve, window, "speed")
-        assert rep.fsecond_sup == sup_norm(curve, window, "covariant_accel_norm")
+        assert rep.fprime_sup == sup_norm(curve, window, speed)
+        assert rep.fsecond_sup == sup_norm(curve, window, curve.manifold.covariant_accel_norm)

@@ -595,6 +595,21 @@ class TestNonFiniteInputs:
         unit = _one_error_line(["check", spec([1.0, 1.0, 0.0], "unit.json"), "--json"])
         assert huge == unit and unit[0] == 0 and unit[2] == ""
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]], ids=["text", "json", "csv"])
+    def test_zero_amplitude_is_the_drift_alone_at_any_omega(self, tmp_path, fmt):
+        """A sinusoidal phase with amp 0 is its drift alone: at omega 1e300,
+        where omega^2 overflows, and at 1e308, where omega t does, the
+        report is the one of omega 1.0 byte for byte."""
+        def check(omega):
+            phase = {"kind": "sinusoidal", "amp": 0.0, "omega": omega, "drift": 1.0}
+            spec = {"family": "latitude", "params": {"colatitude": 0.7, "phase": phase}}
+            return _one_error_line(["check", write_spec(tmp_path, spec, name=f"{omega!r}.json"),
+                                    *fmt])
+
+        unit = check(1.0)
+        assert unit[0] == 0 and unit[1] and unit[2] == ""
+        assert check(1e300) == unit and check(1e308) == unit
+
 
 def _axes_csv(tmp_path):
     """The six unit axis points: no open hemisphere holds them, so the cap
